@@ -24,11 +24,15 @@ Memory virtualization:
   VA directly to host PA, kept coherent by write-protecting guest page
   tables (or by PV hypercalls).
 * ``NESTED`` -- two-dimensional walks through guest tables and an
-  EPT-style second level, with the classic walk-amplification cost.
+  EPT-style second level, with the classic walk-amplification cost
+  (:class:`repro.cpu.mmu.NestedMMU`).
 * ``HMODE`` -- the H-mode extension: an architected hardware guest mode
   with HEDELEG/HIDELEG trap delegation and a hardware-walked two-stage
   translation path (:class:`repro.cpu.mmu.HModeMMU`). Combine with
   ``HW_ASSIST`` for the sixth engine configuration.
+
+Both two-stage modes run the same walk, :class:`repro.cpu.mmu.TwoStageMMU`;
+the mode only selects its cost and stage-2 A/D profile.
 """
 
 from repro.core.modes import VirtMode, MMUVirtMode
@@ -36,7 +40,7 @@ from repro.core.stats import ExitStats, VMStats
 from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.core.vcpu import VCPU
 from repro.core.shadow import ShadowMMU
-from repro.core.nested import NestedMMU
+from repro.cpu.mmu import NestedMMU
 from repro.core.policies import HModePolicy
 from repro.core.hypervisor import Hypervisor, HypercallNumbers
 from repro.core.nestedvirt import (

@@ -30,7 +30,7 @@ from repro.core.vcpu import VCPU
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import TrapInfo
 from repro.cpu.jit import _STORE_OPS, compile_bt_block
-from repro.cpu.isa import CSR, Cause, Instruction, MODE_KERNEL, Op
+from repro.cpu.isa import CSR, Cause, DecodeError, Instruction, MODE_KERNEL, Op
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 
@@ -278,6 +278,8 @@ class BTEngine:
         execution re-enters at the cursor and faults architecturally
         then. (Without this, a guest jump to a non-executable page
         escaped as a host-level PageFault instead of a guest trap.)
+        An undecodable word past the first instruction likewise ends the
+        block before it, so the guest aborts only if it reaches the word.
         """
         cpu = self.vcpu.cpu
         vm = self.vcpu.vm
@@ -287,6 +289,10 @@ class BTEngine:
         for _ in range(MAX_BLOCK_INSTRUCTIONS):
             try:
                 ins = cpu.fetch(cursor)  # may raise VMExit (shadow fill)
+            except DecodeError:
+                if items:
+                    break  # undecodable tail: block ends before it
+                raise
             except PageFault as fault:
                 if items:
                     break

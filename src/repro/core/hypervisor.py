@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.bt import BTEngine
 from repro.core.emulate import emulate_guest_store, emulate_privileged
 from repro.core.modes import MMUVirtMode, VirtMode
-from repro.core.nested import NestedMMU
 from repro.core.policies import DeprivilegedPolicy, HModePolicy, HWAssistPolicy
 from repro.core.shadow import ShadowMMU
 from repro.core.vcpu import VCPU
@@ -32,7 +31,7 @@ from repro.cpu.interp import CPUCore, StopReason, TrapInfo
 from repro.cpu.isa import (
     CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, Op,
 )
-from repro.cpu.mmu import HModeMMU
+from repro.cpu.mmu import HModeMMU, NestedMMU, TwoStageMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice
 from repro.devices.bus import PortBus
 from repro.devices.console import CONSOLE_BASE, ConsoleDevice
@@ -295,26 +294,17 @@ class Hypervisor:
                 ring_compression=config.virt_mode is not VirtMode.HW_ASSIST,
                 trap_pt_writes=config.virt_mode is not VirtMode.PARAVIRT,
             )
-        elif config.mmu_mode is MMUVirtMode.HMODE:
-            mmu = HModeMMU(
-                self.physmem,
-                self.allocator,
-                guest_mem,
-                self.costs,
-                tlb_entries=self.tlb_entries,
-            )
-            mmu.stall_fn = self._hmode_stall_cycles
-            if config.prealloc:
-                for gfn, hfn in guest_mem.map.items():
-                    mmu.ept_map(gfn, hfn)
         else:
-            mmu = NestedMMU(
+            hmode = config.mmu_mode is MMUVirtMode.HMODE
+            mmu = (HModeMMU if hmode else NestedMMU)(
                 self.physmem,
                 self.allocator,
                 guest_mem,
                 self.costs,
                 tlb_entries=self.tlb_entries,
             )
+            if hmode:
+                mmu.stall_fn = self._hmode_stall_cycles
             if config.prealloc:
                 for gfn, hfn in guest_mem.map.items():
                     mmu.ept_map(gfn, hfn)
@@ -883,12 +873,7 @@ class Hypervisor:
         """
         if gfn >= vm.num_pages or not vm.guest_mem.is_mapped(gfn):
             return False
-        mmu = vm.vcpus[0].cpu.mmu
-        if isinstance(mmu, ShadowMMU):
-            mmu.drop_gfn(gfn)
-        elif isinstance(mmu, (NestedMMU, HModeMMU)):
-            if mmu.ept.lookup(gfn << PAGE_SHIFT) is not None:
-                mmu.ept_unmap(gfn)
+        vm.vcpus[0].cpu.mmu.drop_gfn(gfn)
         hfn = vm.guest_mem.unmap_page(gfn)
         if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
             self.allocator.free(hfn)
@@ -905,7 +890,7 @@ class Hypervisor:
         vm.guest_mem.map_page(gfn, hfn)
         vm.ballooned_gfns.discard(gfn)
         mmu = vm.vcpus[0].cpu.mmu
-        if isinstance(mmu, (NestedMMU, HModeMMU)):
+        if isinstance(mmu, TwoStageMMU):
             mmu.ept_map(gfn, hfn)
         self.registry.counter("overcommit.balloon.deflations").inc()
         self.registry.counter("overcommit.operations").inc()

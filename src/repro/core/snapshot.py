@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.modes import MMUVirtMode, VirtMode
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
+from repro.cpu.mmu import TwoStageMMU
 from repro.core.shadow import ShadowMMU
 from repro.core.vm import GuestConfig, VirtualMachine
 from repro.cpu.isa import CSR, Cause
@@ -239,7 +238,7 @@ def restore_vm(hypervisor, snapshot: VMSnapshot,
     for gfn in list(vm.guest_mem.map):
         if gfn not in snapshot.mapped_gfns:
             mmu = vm.vcpus[0].cpu.mmu
-            if isinstance(mmu, (NestedMMU, HModeMMU)):
+            if isinstance(mmu, TwoStageMMU):
                 mmu.ept_unmap(gfn)
             hypervisor.allocator.free(vm.guest_mem.unmap_page(gfn))
     for gfn, content in snapshot.pages.items():
@@ -286,7 +285,7 @@ def restore_vm(hypervisor, snapshot: VMSnapshot,
             mmu.switch_guest_root(root)
             if mmu.ring_compression:
                 mmu.set_view(kernel=not vcpu.virtual_user)
-    elif isinstance(mmu, (NestedMMU, HModeMMU)):
+    elif isinstance(mmu, TwoStageMMU):
         if cpu.csr[CSR.PTBR]:
             mmu.set_root(cpu.csr[CSR.PTBR])
     return vm

@@ -6,8 +6,11 @@ address translation:
 
 * :class:`BareMMU` -- native execution and hardware-assisted guests with
   nested paging disabled: walks the tables named by PTBR directly.
-* ``ShadowMMU`` / ``NestedMMU`` (in :mod:`repro.core.shadow` and
-  :mod:`repro.core.nested`) -- virtualized translation.
+* :class:`TwoStageMMU` -- guest tables over a host-owned stage-2 table,
+  in two profiles: :class:`NestedMMU` (EPT-style nested paging) and
+  :class:`HModeMMU` (the H-mode extension's G-stage walk).
+* ``ShadowMMU`` (in :mod:`repro.core.shadow`) -- VMM-built shadow
+  tables.
 
 ``translate`` returns ``(physical_address, extra_cycles)``; it raises
 :class:`repro.mem.paging.PageFault` for guest-visible faults and may
@@ -21,15 +24,16 @@ from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
     AddressSpace,
-    GStageFault,
     PTE_ACCESSED,
     PTE_DIRTY,
     PTE_NOEXEC,
     PTE_PRESENT,
     PTE_USER,
     PTE_WRITABLE,
+    PageFault,
     PageTableWalker,
-    TwoStageWalker,
+    pte_frame,
+    split_vaddr,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.mem.tlb import TLB
@@ -119,23 +123,37 @@ class BareMMU(MMUBase):
         self.tlb.flush()
 
 
-class HModeMMU(MMUBase):
-    """Hardware two-stage translation for H-mode guests.
+class TwoStageMMU(MMUBase):
+    """Two-dimensional translation: guest tables over a stage-2 table.
 
-    The architected "hardware" MMU of the H-mode extension: guest VA ->
-    guest PA through the guest's own tables, guest PA -> host PA through
-    a host-owned G-stage table, both walked by the
-    :class:`~repro.mem.paging.TwoStageWalker` with combined translations
-    cached in one TLB. The guest keeps PTBR/INVLPG native (no MMU
-    exits); the host programs the G-stage exactly like an EPT, so this
-    class deliberately duck-types :class:`~repro.core.nested.NestedMMU`'s
-    host-control surface (``ept``/``ept_map``/``ept_unmap``/
-    ``write_protect_gfn``/``unprotect_gfn``) and raises the same
-    ``ept_violation``/``dirty_log`` exits -- demand paging, ballooning,
-    dirty logging and post-copy compose unchanged. It lives in the CPU
-    package because H-mode makes two-stage translation part of the
-    architecture, not a VMM construction.
+    The guest owns its page tables natively -- no PT write protection,
+    no fill exits, PTBR writes and INVLPG stay in the guest. The price
+    is the walk: a guest-TLB miss walks the guest tables, and every
+    guest table *access* is itself a guest-physical address walked
+    through the host-owned stage-2 table (``ept``). For 2-level tables
+    on both sides that is
+
+        2 guest levels x (2 stage-2 refs + 1 entry read) + 2 final refs = 8
+
+    memory references versus 2 for shadow/native -- the classic
+    (n+1)(m+1)-1 amplification measured in experiment E3. Combined
+    gva->hpa translations are cached in one TLB.
+
+    Stage-2 permissions double as the host-control plane: an unmapped
+    guest frame raises an ``ept_violation`` exit (demand allocation,
+    post-copy migration, swap-in), and a write to an entry the host
+    write-protected raises a ``dirty_log`` exit (pre-copy migration
+    round tracking).
+
+    The two hardware flavours differ only in the profile constants
+    below; see :class:`NestedMMU` and :class:`HModeMMU`.
     """
+
+    #: :class:`CostModel` field that prices one stage-2 entry reference.
+    #: Guest entry reads are always priced at ``mem_ref_cycles``.
+    S2_REF_COST = "mem_ref_cycles"
+    #: Whether the walker sets accessed/dirty bits in stage-2 entries.
+    S2_SETS_AD = False
 
     def __init__(
         self,
@@ -149,102 +167,121 @@ class HModeMMU(MMUBase):
         self.costs = costs
         self.guest_mem = guest_mem
         self.tlb = TLB(tlb_entries)
-        #: The G-stage table (gPA -> hPA), host-owned.
-        self.gstage = AddressSpace(host_physmem, host_allocator)
-        self.walker = TwoStageWalker(host_physmem)
+        #: The stage-2 table (gPA -> hPA), host-owned.
+        self.ept = AddressSpace(host_physmem, host_allocator)
         self.guest_root: Optional[int] = None
-        #: gfns whose G-stage entry is write-protected for dirty logging.
+        #: gfns whose stage-2 entry is write-protected for dirty logging.
         self.write_protected_gfns: Set[int] = set()
-        #: Optional fault-injection hook (``hmode.gstage_stall``):
-        #: called once per two-stage TLB miss, returns extra cycles.
+        #: Optional fault-injection hook: called once per TLB miss,
+        #: before the walk; returns extra cycles.
         self.stall_fn: Optional[Callable[[], int]] = None
 
-        self.two_stage_walks = 0
-        self.walk_mem_refs = 0  # guest page-table entry reads
-        self.gstage_mem_refs = 0  # G-stage page-table entry reads
-
-    # -- G-stage management (host side, NestedMMU-compatible) ----------------
-
-    @property
-    def ept(self) -> AddressSpace:
-        """The G-stage table under its EPT-compatible name."""
-        return self.gstage
+    # -- stage-2 management (host side) --------------------------------------
 
     def ept_map(self, gfn: int, hfn: int, writable: bool = True) -> None:
         flags = PTE_PRESENT | PTE_USER | (PTE_WRITABLE if writable else 0)
-        self.gstage.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, flags)
+        self.ept.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, flags)
 
     def ept_unmap(self, gfn: int) -> None:
-        self.gstage.unmap(gfn << PAGE_SHIFT)
+        self.ept.unmap(gfn << PAGE_SHIFT)
         self.tlb.flush()  # conservatively drop combined translations
 
+    def drop_gfn(self, gfn: int) -> None:
+        """Remove the stage-2 mapping of a guest frame, if any (balloon,
+        swap, sharing break)."""
+        if self.ept.lookup(gfn << PAGE_SHIFT) is not None:
+            self.ept_unmap(gfn)
+
     def write_protect_gfn(self, gfn: int) -> None:
-        pte = self.gstage.lookup(gfn << PAGE_SHIFT)
+        pte = self.ept.lookup(gfn << PAGE_SHIFT)
         if pte is None:
             return
         self.write_protected_gfns.add(gfn)
-        self.gstage.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) & ~PTE_WRITABLE)
+        self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) & ~PTE_WRITABLE)
         self.tlb.flush()
 
     def unprotect_gfn(self, gfn: int) -> None:
         self.write_protected_gfns.discard(gfn)
-        pte = self.gstage.lookup(gfn << PAGE_SHIFT)
+        pte = self.ept.lookup(gfn << PAGE_SHIFT)
         if pte is not None:
-            self.gstage.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) | PTE_WRITABLE)
+            self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) | PTE_WRITABLE)
 
     # -- MMUBase interface ----------------------------------------------------
 
     def translate(self, va: int, access: AccessType, user: bool) -> Tuple[int, int]:
         va &= 0xFFFFFFFF
         vpn = va >> PAGE_SHIFT
+        costs = self.costs
         pte = self.tlb.lookup(vpn, access, user)
         if pte is not None:
-            return (
-                (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF),
-                self.costs.tlb_hit_cycles,
-            )
-        self.two_stage_walks += 1
+            return (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF), costs.tlb_hit_cycles
+
         stall = self.stall_fn() if self.stall_fn is not None else 0
-        costs = self.costs
+        s2_ref = getattr(costs, self.S2_REF_COST)
         if self.guest_root is None:
-            # Guest paging off: VA is a gPA; one G-stage walk.
-            try:
-                hpa, refs = self.walker.gstage_walk(
-                    self.gstage.root_pa, va, access
-                )
-            except GStageFault as fault:
-                raise self._gstage_exit(fault) from None
+            # Guest paging off: VA is a gPA; one stage-2 walk.
+            hpa = self._s2_walk(va, access)
             flags = PTE_PRESENT | PTE_USER | PTE_ACCESSED
             if access is AccessType.WRITE:
                 flags |= PTE_WRITABLE | PTE_DIRTY
             self.tlb.insert(vpn, ((hpa >> PAGE_SHIFT) << PAGE_SHIFT) | flags)
-            self.gstage_mem_refs += refs
-            return hpa, (
-                costs.tlb_hit_cycles + refs * costs.gstage_ref_cycles + stall
-            )
+            return hpa, costs.tlb_hit_cycles + 2 * s2_ref + stall
 
-        try:
-            res = self.walker.walk(
-                self.gstage.root_pa, self.guest_root, va, access, user
+        dir_idx, tbl_idx, offset = split_vaddr(va)
+        s2_walks = 3  # PDE read, PTE read, data page; +1 per A/D write-back
+
+        # Level 1: guest PDE (its gPA goes through stage 2).
+        pde_gpa = self.guest_root + dir_idx * 4
+        pde = self.physmem.read_u32(self._s2_walk(pde_gpa, AccessType.READ))
+        if not pde & PTE_PRESENT:
+            raise PageFault(va, access, user, present=False)
+
+        # Level 2: guest PTE.
+        pte_gpa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
+        gpte = self.physmem.read_u32(self._s2_walk(pte_gpa, AccessType.READ))
+        if not gpte & PTE_PRESENT:
+            raise PageFault(va, access, user, present=False)
+
+        combined = pde & gpte
+        if user and not combined & PTE_USER:
+            raise PageFault(va, access, user, present=True)
+        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
+            raise PageFault(va, access, user, present=True)
+        if access is AccessType.EXEC and gpte & PTE_NOEXEC:
+            raise PageFault(va, access, user, present=True)
+
+        # Guest A/D updates. A write to a guest PT entry is itself a
+        # guest-physical write and must respect stage-2 write permission
+        # -- which is exactly how page-table pages get captured by dirty
+        # logging on real hardware.
+        if not pde & PTE_ACCESSED:
+            s2_walks += 1
+            self.physmem.write_u32(
+                self._s2_walk(pde_gpa, AccessType.WRITE), pde | PTE_ACCESSED
             )
-        except GStageFault as fault:
-            raise self._gstage_exit(fault) from None
+        new_gpte = gpte | PTE_ACCESSED
+        if access is AccessType.WRITE:
+            new_gpte |= PTE_DIRTY
+        if new_gpte != gpte:
+            s2_walks += 1
+            self.physmem.write_u32(self._s2_walk(pte_gpa, AccessType.WRITE), new_gpte)
+            gpte = new_gpte
+
+        # Final level: the data page itself through stage 2.
+        hpa = self._s2_walk((pte_frame(gpte) << PAGE_SHIFT) | offset, access)
+
         flags = PTE_PRESENT | PTE_ACCESSED
-        flags |= res.combined & PTE_USER
-        flags |= res.pte & PTE_NOEXEC
+        flags |= combined & PTE_USER
+        flags |= gpte & PTE_NOEXEC
         if access is AccessType.WRITE:
             # Lazy-W: cache write permission only once D is set, so the
             # next write after a dirty-log round re-walks.
             flags |= PTE_WRITABLE | PTE_DIRTY
-        self.tlb.insert(
-            vpn, ((res.hpaddr >> PAGE_SHIFT) << PAGE_SHIFT) | flags
-        )
-        self.walk_mem_refs += res.guest_refs
-        self.gstage_mem_refs += res.gstage_refs
-        return res.hpaddr, (
+        self.tlb.insert(vpn, ((hpa >> PAGE_SHIFT) << PAGE_SHIFT) | flags)
+        return hpa, (
             costs.tlb_hit_cycles
-            + res.guest_refs * costs.mem_ref_cycles
-            + res.gstage_refs * costs.gstage_ref_cycles
+            + 2 * costs.mem_ref_cycles
+            + 2 * s2_walks * s2_ref
             + stall
         )
 
@@ -260,20 +297,71 @@ class HModeMMU(MMUBase):
         self.tlb.flush()
 
     def destroy(self) -> None:
-        self.gstage.destroy()
+        self.ept.destroy()
         self.tlb.flush()
 
     # -- internals -------------------------------------------------------------
 
-    def _gstage_exit(self, fault: GStageFault) -> VMExit:
-        """Map a G-stage fault onto the architected exit kinds."""
-        gfn = fault.gpa >> PAGE_SHIFT
-        kind = (
-            "dirty_log"
-            if fault.present and gfn in self.write_protected_gfns
-            else "ept_violation"
-        )
-        return VMExit(
-            ExitReason.PAGE_FAULT, kind=kind,
-            gpa=fault.gpa, gfn=gfn, access=fault.access,
-        )
+    def _s2_walk(self, gpa: int, access: AccessType) -> int:
+        """Walk the stage-2 table for one gPA (two entry references);
+        return the hPA.
+
+        Raises :class:`VMExit` (``ept_violation``) when unmapped, or
+        (``dirty_log`` if the host write-protected the frame) when a
+        write hits a read-only entry.
+        """
+        physmem = self.physmem
+        dir_idx, tbl_idx, offset = split_vaddr(gpa)
+        pde_pa = self.ept.root_pa + dir_idx * 4
+        pde = physmem.read_u32(pde_pa)
+        if not pde & PTE_PRESENT:
+            raise _s2_exit("ept_violation", gpa, access)
+        pte_pa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
+        pte = physmem.read_u32(pte_pa)
+        if not pte & PTE_PRESENT:
+            raise _s2_exit("ept_violation", gpa, access)
+        if access is AccessType.WRITE and not (pde & pte & PTE_WRITABLE):
+            protected = (gpa >> PAGE_SHIFT) in self.write_protected_gfns
+            raise _s2_exit(
+                "dirty_log" if protected else "ept_violation", gpa, access
+            )
+        if self.S2_SETS_AD:
+            if not pde & PTE_ACCESSED:
+                physmem.write_u32(pde_pa, pde | PTE_ACCESSED)
+            new_pte = pte | PTE_ACCESSED
+            if access is AccessType.WRITE:
+                new_pte |= PTE_DIRTY
+            if new_pte != pte:
+                physmem.write_u32(pte_pa, new_pte)
+        return (pte_frame(pte) << PAGE_SHIFT) | offset
+
+
+def _s2_exit(kind: str, gpa: int, access: AccessType) -> VMExit:
+    return VMExit(
+        ExitReason.PAGE_FAULT, kind=kind,
+        gpa=gpa, gfn=gpa >> PAGE_SHIFT, access=access,
+    )
+
+
+class NestedMMU(TwoStageMMU):
+    """EPT/NPT-style nested paging: stage-2
+    references cost an ordinary memory reference, and the walker never
+    writes stage-2 A/D bits (dirty tracking is by write protection)."""
+
+    S2_REF_COST = "mem_ref_cycles"
+    S2_SETS_AD = False
+
+
+class HModeMMU(TwoStageMMU):
+    """The H-mode extension's architected two-stage (G-stage) walk.
+
+    Stage-2 references are priced at ``gstage_ref_cycles`` (ablations
+    model a dedicated nested-walk cache by lowering it), and the walker
+    sets accessed at both stage-2 levels and dirty at the leaf on
+    writes. The hypervisor installs the ``hmode.gstage_stall`` fault
+    site as ``stall_fn``. It lives in the CPU package because H-mode
+    makes two-stage translation part of the architecture.
+    """
+
+    S2_REF_COST = "gstage_ref_cycles"
+    S2_SETS_AD = True

@@ -82,9 +82,27 @@ def _bt_stale_smc() -> Iterator[None]:
         btmod.BTEngine._watch_block = orig
 
 
+@contextlib.contextmanager
+def _bt_decode_tail() -> Iterator[None]:
+    """Binary translator that decodes a whole block ahead and lets an
+    undecodable word past the first instruction abort the guest, even
+    when the guest never reaches it (hw-shadow stops at the instruction
+    limit, bt-shadow aborts). The shim rebinds the name the translator
+    catches to an exception nothing raises."""
+    from repro.core import bt as btmod
+
+    orig = btmod.DecodeError
+    btmod.DecodeError = type("NeverRaised", (Exception,), {})
+    try:
+        yield
+    finally:
+        btmod.DecodeError = orig
+
+
 _BUGS: Dict[str, object] = {
     "pr5-vector-loop": _pr5_vector_loop,
     "bt-stale-smc": _bt_stale_smc,
+    "bt-decode-tail": _bt_decode_tail,
 }
 
 

@@ -216,180 +216,6 @@ class PageTableWalker:
         return pte
 
 
-@dataclass
-class GStageFault(Exception):
-    """Raised by the G-stage walker when a guest-physical address cannot
-    be translated to a host-physical one.
-
-    This is the memory-layer analogue of an EPT violation: ``present``
-    distinguishes a write denied by a read-only G-stage entry (True,
-    e.g. dirty logging) from an unmapped guest frame (False). The
-    H-mode MMU maps it onto a :class:`~repro.cpu.exits.VMExit`; the
-    memory layer itself stays free of CPU-package imports.
-    """
-
-    gpa: int
-    access: AccessType
-    present: bool
-
-    def __str__(self) -> str:
-        kind = "write-protected" if self.present else "unmapped"
-        return (
-            f"G-stage fault: {kind} on {self.access.value} of "
-            f"guest-physical {self.gpa:#010x}"
-        )
-
-
-@dataclass(frozen=True)
-class TwoStageResult:
-    """Outcome of a successful hardware two-stage walk."""
-
-    hpaddr: int  # host-physical address of the data
-    gpaddr: int  # guest-physical address (after the guest stage)
-    pte: int  # guest leaf PTE, post-A/D
-    combined: int  # guest PDE & PTE (joint permission bits)
-    guest_refs: int  # guest page-table entry reads
-    gstage_refs: int  # G-stage page-table entry reads
-
-
-class TwoStageWalker:
-    """Hardware-walked two-stage translation (H-mode; VS-stage over G-stage).
-
-    Both stages are ordinary 2-level tables in the same PTE format. The
-    guest stage lives in guest-physical memory, so each of its entry
-    reads is itself G-stage translated; with 2-level tables on both
-    sides a cold walk costs ``2 x (2 + 1) + 2 = 8`` entry references --
-    the same (n+1)(m+1)-1 amplification as software nested paging,
-    but walked "in hardware": no exits, and the walker maintains
-    accessed/dirty bits at *both* stages (the G-stage A/D updates are
-    what pre-copy migration reads instead of write-protection exits).
-    """
-
-    def __init__(self, physmem: PhysicalMemory):
-        self.physmem = physmem
-        self.walks = 0
-        self.faults = 0
-        self.gstage_faults = 0
-
-    def gstage_walk(
-        self, gstage_root: int, gpa: int, access: AccessType,
-        set_ad: bool = True,
-    ) -> Tuple[int, int]:
-        """Translate one gPA through the G-stage; return (hpa, refs).
-
-        Raises :class:`GStageFault` when unmapped or when a write hits
-        a non-writable entry. On success sets ACCESSED at both G-stage
-        levels and DIRTY at the leaf for writes.
-        """
-        dir_idx, tbl_idx, offset = split_vaddr(gpa)
-        pde_pa = gstage_root + dir_idx * 4
-        pde = self.physmem.read_u32(pde_pa)
-        if not pde & PTE_PRESENT:
-            self.gstage_faults += 1
-            raise GStageFault(gpa, access, present=False)
-        pte_pa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        pte = self.physmem.read_u32(pte_pa)
-        if not pte & PTE_PRESENT:
-            self.gstage_faults += 1
-            raise GStageFault(gpa, access, present=False)
-        if access is AccessType.WRITE and not (pde & pte & PTE_WRITABLE):
-            self.gstage_faults += 1
-            raise GStageFault(gpa, access, present=True)
-        if set_ad:
-            new_pde = pde | PTE_ACCESSED
-            if new_pde != pde:
-                self.physmem.write_u32(pde_pa, new_pde)
-            new_pte = pte | PTE_ACCESSED
-            if access is AccessType.WRITE:
-                new_pte |= PTE_DIRTY
-            if new_pte != pte:
-                self.physmem.write_u32(pte_pa, new_pte)
-                pte = new_pte
-        return (pte_frame(pte) << PAGE_SHIFT) | offset, 2
-
-    def walk(
-        self,
-        gstage_root: int,
-        guest_root: int,
-        va: int,
-        access: AccessType,
-        user: bool,
-    ) -> TwoStageResult:
-        """Full two-stage translation of a guest virtual address.
-
-        Guest-visible behaviour (fault order, guest A/D updates) is
-        identical to :class:`PageTableWalker`; every guest table access
-        additionally passes through the G-stage, including the write-back
-        of guest A/D bits (so dirty logging captures page-table pages,
-        exactly as under software nested paging).
-        """
-        self.walks += 1
-        guest_refs = 0
-        gstage_refs = 0
-        dir_idx, tbl_idx, offset = split_vaddr(va)
-
-        pde_gpa = guest_root + dir_idx * 4
-        pde_hpa, r = self.gstage_walk(gstage_root, pde_gpa, AccessType.READ)
-        gstage_refs += r
-        guest_refs += 1
-        pde = self.physmem.read_u32(pde_hpa)
-        if not pde & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        pte_gpa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        pte_hpa, r = self.gstage_walk(gstage_root, pte_gpa, AccessType.READ)
-        gstage_refs += r
-        guest_refs += 1
-        gpte = self.physmem.read_u32(pte_hpa)
-        if not gpte & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        combined = pde & gpte
-        if user and not combined & PTE_USER:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.EXEC and gpte & PTE_NOEXEC:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-
-        # Guest A/D write-back: a guest-physical *write*, re-walked
-        # through the G-stage with write permission.
-        if not pde & PTE_ACCESSED:
-            pde_hpa_w, r = self.gstage_walk(
-                gstage_root, pde_gpa, AccessType.WRITE
-            )
-            gstage_refs += r
-            self.physmem.write_u32(pde_hpa_w, pde | PTE_ACCESSED)
-        new_gpte = gpte | PTE_ACCESSED
-        if access is AccessType.WRITE:
-            new_gpte |= PTE_DIRTY
-        if new_gpte != gpte:
-            pte_hpa_w, r = self.gstage_walk(
-                gstage_root, pte_gpa, AccessType.WRITE
-            )
-            gstage_refs += r
-            self.physmem.write_u32(pte_hpa_w, new_gpte)
-            gpte = new_gpte
-
-        gpa = (pte_frame(gpte) << PAGE_SHIFT) | offset
-        hpa, r = self.gstage_walk(gstage_root, gpa, access)
-        gstage_refs += r
-
-        return TwoStageResult(
-            hpaddr=hpa,
-            gpaddr=gpa,
-            pte=gpte,
-            combined=combined,
-            guest_refs=guest_refs,
-            gstage_refs=gstage_refs,
-        )
-
-
 class AddressSpace:
     """Owns one page-table tree and provides map/unmap/protect.
 

@@ -27,8 +27,7 @@ from typing import Deque, Dict, List, Optional, Set
 
 from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.modes import MMUVirtMode
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
+from repro.cpu.mmu import TwoStageMMU
 from repro.core.shadow import ShadowMMU
 from repro.core.vm import GuestConfig, VirtualMachine
 from repro.faults.recovery import RetryPolicy
@@ -343,7 +342,7 @@ class LiveMigrator:
             if root:
                 mmu.switch_guest_root(root)
                 mmu.set_view(kernel=not d.virtual_user)
-        elif isinstance(mmu, (NestedMMU, HModeMMU)):
+        elif isinstance(mmu, TwoStageMMU):
             if d.cpu.csr[1]:
                 mmu.set_root(d.cpu.csr[1])
 

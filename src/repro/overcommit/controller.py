@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.hypervisor import Hypervisor
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
+from repro.cpu.mmu import TwoStageMMU
 from repro.core.vm import VirtualMachine
 from repro.overcommit.balloon import BalloonPolicy
 from repro.overcommit.sharing import PageSharer
@@ -268,7 +267,7 @@ class MemoryPressureController:
         that, so the controller leaves it to sharing and swap.)
         """
         mmu = vm.vcpus[0].cpu.mmu
-        if not isinstance(mmu, (NestedMMU, HModeMMU)):
+        if not isinstance(mmu, TwoStageMMU):
             return 0
         want = min(want, self.config.max_balloon_per_tick)
         given = 0

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.hypervisor import Hypervisor
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
-from repro.core.shadow import ShadowMMU
+from repro.cpu.mmu import TwoStageMMU
 from repro.core.vm import VirtualMachine
 from repro.obs.registry import counter_attr
 from repro.util.errors import MemoryError_
@@ -211,15 +209,10 @@ class PageSharer:
         self._mmu(vm).unprotect_gfn(gfn)
 
     def _drop_mappings(self, vm: VirtualMachine, gfn: int) -> None:
-        mmu = self._mmu(vm)
-        if isinstance(mmu, ShadowMMU):
-            mmu.drop_gfn(gfn)
-        elif isinstance(mmu, (NestedMMU, HModeMMU)):
-            if mmu.ept.lookup(gfn << PAGE_SHIFT) is not None:
-                mmu.ept_unmap(gfn)
+        self._mmu(vm).drop_gfn(gfn)
 
     def _remap(self, vm: VirtualMachine, gfn: int, hfn: int) -> None:
         mmu = self._mmu(vm)
-        if isinstance(mmu, (NestedMMU, HModeMMU)):
+        if isinstance(mmu, TwoStageMMU):
             mmu.ept_map(gfn, hfn)
         # Shadow MMUs refill lazily on the next access.

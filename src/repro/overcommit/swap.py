@@ -20,13 +20,10 @@ from collections import OrderedDict
 from typing import Dict, Set, Tuple
 
 from repro.core.hypervisor import Hypervisor
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
 from repro.core.shadow import ShadowMMU
 from repro.core.vm import VirtualMachine
 from repro.obs.registry import counter_attr
 from repro.util.errors import MemoryError_
-from repro.util.units import PAGE_SHIFT
 
 
 class HostSwap:
@@ -77,12 +74,7 @@ class HostSwap:
         if self.hv.sharing is not None and self.hv.sharing.handles(vm, gfn):
             raise MemoryError_("cannot swap a shared page; break it first")
         content = vm.guest_mem.read_gfn(gfn)
-        mmu = vm.vcpus[0].cpu.mmu
-        if isinstance(mmu, ShadowMMU):
-            mmu.drop_gfn(gfn)
-        elif isinstance(mmu, (NestedMMU, HModeMMU)):
-            if mmu.ept.lookup(gfn << PAGE_SHIFT) is not None:
-                mmu.ept_unmap(gfn)
+        vm.vcpus[0].cpu.mmu.drop_gfn(gfn)
         hfn = vm.guest_mem.unmap_page(gfn)
         self.hv.allocator.free(hfn)
         self._store[(vm.name, gfn)] = content

@@ -289,3 +289,16 @@ def test_ptbr_write_ends_translated_block():
     assert cpu.regs[7] != 0xdead  # the stale tail never executed
     assert cpu.regs[2] == int(Cause.PF_EXEC)  # ECAUSE seen by the vector
     assert cpu.regs[3] == cpu.regs[5]  # EVAL == VA of the stale tail
+
+
+def test_undecodable_tail_ends_block_instead_of_aborting():
+    # The block is decoded ahead of execution; an invalid word the guest
+    # never reaches must not abort it (hardware assist would not fault).
+    src = """
+    li a0, 1
+    li a1, 2
+    .word 0x44000000       ; opcode 0x44: not an instruction
+"""
+    _, vm, outcome = run_bt(src, max_instructions=2)
+    assert outcome is RunOutcome.INSTR_LIMIT
+    assert vm.vcpus[0].cpu.regs[2] == 2

@@ -194,6 +194,7 @@ class TestBugShims:
     def test_known_bugs_listed(self):
         assert "pr5-vector-loop" in known_bugs()
         assert "bt-stale-smc" in known_bugs()
+        assert "bt-decode-tail" in known_bugs()
 
     def test_unknown_bug_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
-"""Property: shadow and nested MMUs implement the same guest semantics.
+"""Property: shadow, nested and H-mode MMUs implement the same guest semantics.
 
-For randomly generated guest page tables and access sequences, both
-MMU implementations must (a) fault exactly when a software walk of the
+For randomly generated guest page tables and access sequences, all
+three MMUs must (a) fault exactly when a software walk of the
 guest's own tables says the access is illegal, and (b) otherwise map
 the address to the same guest frame. This is the core contract of
 memory virtualization: the guest cannot tell which MMU it runs on.
@@ -10,10 +10,10 @@ memory virtualization: the guest cannot tell which MMU it runs on.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.nested import NestedMMU
 from repro.core.shadow import ShadowMMU
 from repro.core.vm import GuestMemory
 from repro.cpu.exits import VMExit
+from repro.cpu.mmu import HModeMMU, NestedMMU
 from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
@@ -129,17 +129,19 @@ class TestShadowNestedEquivalence:
                            ring_compression=False, trap_pt_writes=False)
         shadow.switch_guest_root(ROOT_GPA)
 
-        pm_n, alloc_n, gm_n = build_guest(mappings)
-        nested = NestedMMU(pm_n, alloc_n, gm_n, CostModel())
-        for gfn, hfn in gm_n.map.items():
-            nested.ept_map(gfn, hfn)
-        nested.set_root(ROOT_GPA)
+        mmus = [("shadow", shadow, gm_s)]
+        for name, cls in (("nested", NestedMMU), ("hmode", HModeMMU)):
+            pm, alloc, gm = build_guest(mappings)
+            mmu = cls(pm, alloc, gm, CostModel())
+            for gfn, hfn in gm.map.items():
+                mmu.ept_map(gfn, hfn)
+            mmu.set_root(ROOT_GPA)
+            mmus.append((name, mmu, gm))
 
         for dir_idx, tbl_idx, offset, access, user in accesses:
             va = (dir_idx << 22) | (tbl_idx << 12) | offset
             expected_gfn = oracle(mappings, dir_idx, tbl_idx, access, user)
-            for name, mmu, gm in (("shadow", shadow, gm_s),
-                                  ("nested", nested, gm_n)):
+            for name, mmu, gm in mmus:
                 if expected_gfn is None:
                     with pytest.raises(PageFault):
                         translate_fully(mmu, va, access, user)
