@@ -2,12 +2,14 @@
 
 Unlike E1-E10, which measure *simulated* cycles (the paper's data), this
 bench measures the **simulator itself**: how many guest instructions per
-host wall-clock second each execution engine retires. Two comparisons:
+host wall-clock second each execution engine retires. Three comparisons:
 
 * ``native`` rows -- bare-metal NanoOS runs with the closure compiler
   (:mod:`repro.cpu.jit`) off vs. on;
 * ``bt`` rows -- binary-translation guests with the per-item block walk
-  vs. fused block closures (``BTEngine.compile_enabled``).
+  vs. fused block closures (``BTEngine.compile_enabled``);
+* ``vmm/<mode>`` rows -- NanoOS in each VMM boot mode with the vCPU's
+  closure compiler off vs. on (``cpu.jit_enabled``).
 
 Every pair is also a differential test: the simulated cycles, instret,
 and workload result must be bit-identical between engines, so the bench
@@ -27,9 +29,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.bench.common import (
     GUEST_MEMORY,
     HOST_MEMORY,
+    MODE_MATRIX,
     new_run_registry,
 )
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
+from repro.cpu import jit as block_jit
 from repro.cpu.assembler import Program
 from repro.guest import KernelOptions, boot_native, boot_vm, build_kernel
 from repro.guest import workloads
@@ -72,18 +76,23 @@ _NATIVE_WORKLOADS: List[Tuple[str, Callable[[], Program], Callable[[], Program]]
 #: Workloads also run under binary translation (kernel-heavy subset).
 _BT_WORKLOADS = ("cpu_bound", "syscall_storm")
 
+#: Workloads run in every VMM boot mode.
+_VMM_WORKLOADS = ("cpu_bound", "memtouch", "syscall_storm")
+
 
 @dataclass
 class EngineRow:
     """One (workload, engine) measurement."""
 
     workload: str
-    layer: str  # "native" | "bt"
+    layer: str  # "native" | "bt" | "vmm/<mode>"
     engine: str  # "interp" | "compiled"
     wall_s: float
     instructions: int
     sim_cycles: int
     guest_mips: float
+    #: The workload's exit value (compared between engines).
+    result: Optional[int] = None
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -190,10 +199,17 @@ class HostBenchResult:
         return "\n".join(lines)
 
 
+def _cold_code_cache() -> None:
+    """Start each measured run with no shared compiled code, so a row
+    pays its own compile cost whatever rows ran before it."""
+    block_jit._CODE_CACHE.clear()
+
+
 def _measure_native(
     kernel: Program, workload: Program, jit: bool
 ) -> Tuple[EngineRow, Machine]:
     machine = Machine(memory_bytes=GUEST_MEMORY, jit=jit)
+    _cold_code_cache()
     start = perf_counter()
     diag = boot_native(machine, kernel, workload, max_instructions=200_000_000)
     wall = perf_counter() - start
@@ -209,6 +225,7 @@ def _measure_native(
             instructions=cpu.instret,
             sim_cycles=cpu.cycles,
             guest_mips=cpu.instret / wall / 1e6 if wall > 0 else 0.0,
+            result=diag.user_result,
         ),
         machine,
     )
@@ -227,6 +244,7 @@ def _measure_bt(
         )
     )
     vm.bt.compile_enabled = fused
+    _cold_code_cache()
     start = perf_counter()
     diag = boot_vm(hv, vm, kernel, workload, max_guest_instructions=200_000_000)
     wall = perf_counter() - start
@@ -242,21 +260,57 @@ def _measure_bt(
             instructions=cpu.instret,
             sim_cycles=cpu.cycles,
             guest_mips=cpu.instret / wall / 1e6 if wall > 0 else 0.0,
+            result=diag.user_result,
         ),
         vm,
     )
 
 
+def _measure_vmm(
+    kernel: Program, workload: Program, virt_mode: VirtMode,
+    mmu_mode: MMUVirtMode, jit: bool,
+) -> EngineRow:
+    hv = Hypervisor(memory_bytes=HOST_MEMORY)
+    vm = hv.create_vm(
+        GuestConfig(
+            name="hostbench",
+            memory_bytes=GUEST_MEMORY,
+            virt_mode=virt_mode,
+            mmu_mode=mmu_mode,
+        )
+    )
+    cpu = vm.vcpus[0].cpu
+    cpu.jit_enabled = jit
+    _cold_code_cache()
+    start = perf_counter()
+    diag = boot_vm(hv, vm, kernel, workload, max_guest_instructions=200_000_000)
+    wall = perf_counter() - start
+    if not diag.clean:
+        raise GuestError(f"host bench VMM run unclean: {diag}")
+    return EngineRow(
+        workload="",
+        layer="",
+        engine="compiled" if jit else "interp",
+        wall_s=wall,
+        instructions=cpu.instret,
+        sim_cycles=cpu.cycles,
+        guest_mips=cpu.instret / wall / 1e6 if wall > 0 else 0.0,
+        result=diag.user_result,
+    )
+
+
 def _assert_identical(name: str, interp: EngineRow, compiled: EngineRow) -> None:
     """The differential bar: host speed is the only permitted delta."""
-    if (interp.instructions, interp.sim_cycles) != (
+    if (interp.instructions, interp.sim_cycles, interp.result) != (
         compiled.instructions,
         compiled.sim_cycles,
+        compiled.result,
     ):
         raise GuestError(
             f"{name}: compiled engine diverged from the interpreter "
             f"(instret {interp.instructions} vs {compiled.instructions}, "
-            f"cycles {interp.sim_cycles} vs {compiled.sim_cycles})"
+            f"cycles {interp.sim_cycles} vs {compiled.sim_cycles}, "
+            f"result {interp.result} vs {compiled.result})"
         )
 
 
@@ -302,9 +356,13 @@ def run_host_throughput(
     equally); profiled runs are for diagnosis, not for ratio floors.
     """
     registry = registry if registry is not None else new_run_registry()
-    kernel = build_kernel(
-        KernelOptions(pv=False, memory_bytes=GUEST_MEMORY, timer_period=0)
-    )
+    kernels = {
+        pv: build_kernel(
+            KernelOptions(pv=pv, memory_bytes=GUEST_MEMORY, timer_period=0)
+        )
+        for pv in (False, True)
+    }
+    kernel = kernels[False]
     profiler = None
     if profile_top:
         import cProfile
@@ -351,6 +409,28 @@ def run_host_throughput(
             if interp_row.guest_mips
             else 0.0
         )
+
+    for label, virt_mode, mmu_mode, pv in MODE_MATRIX[1:]:
+        layer = f"vmm/{label}"
+        for name, quick_builder, full_builder in _NATIVE_WORKLOADS:
+            if name not in _VMM_WORKLOADS:
+                continue
+            builder = quick_builder if quick else full_builder
+            interp_row = _measure_vmm(
+                kernels[pv], builder(), virt_mode, mmu_mode, jit=False
+            )
+            compiled_row = _measure_vmm(
+                kernels[pv], builder(), virt_mode, mmu_mode, jit=True
+            )
+            for row in (interp_row, compiled_row):
+                row.workload, row.layer = name, layer
+            _assert_identical(f"{layer}/{name}", interp_row, compiled_row)
+            rows += [interp_row, compiled_row]
+            speedups[f"{layer}/{name}"] = (
+                compiled_row.guest_mips / interp_row.guest_mips
+                if interp_row.guest_mips
+                else 0.0
+            )
 
     hotspots: Optional[List[Dict[str, Any]]] = None
     if profiler is not None:

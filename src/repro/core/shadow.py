@@ -148,6 +148,9 @@ class ShadowMMU(MMUBase):
     def flush(self) -> None:
         self.tlb.flush()
 
+    def via_tlb(self) -> bool:
+        return self.guest_root is not None  # else VA == gPA, no TLB
+
     # -- VMM-facing operations -----------------------------------------------
 
     def switch_guest_root(self, root_gpa: int) -> None:

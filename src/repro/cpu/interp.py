@@ -31,7 +31,7 @@ from repro.cpu.isa import (
     PUBLIC_CSRS,
     decode,
 )
-from repro.cpu.mmu import BareMMU, MMUBase
+from repro.cpu.mmu import MMUBase
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 from repro.util.errors import GuestError
@@ -167,9 +167,10 @@ class CPUCore:
         #: physmem write watcher fires :meth:`_on_code_write` for these.
         self._code_pfns: Set[int] = set()
         #: True/False = explicit; None = default on. The compiled path
-        #: additionally requires a plain BareMMU and no policy.
+        #: additionally requires no ``max_cycles`` budget, and under a
+        #: VMM policy no ``cycle_guard`` either (see :meth:`run`).
         self.jit_enabled = True if jit is None else jit
-        self._jit = None  # lazily: BlockJIT, or False if unsupported
+        self._jit = None  # lazily: BlockJIT
         physmem = getattr(mmu, "physmem", None)
         if physmem is not None and hasattr(physmem, "watch_writes"):
             physmem.watch_writes(self._code_pfns, self._on_code_write)
@@ -448,36 +449,32 @@ class CPUCore:
     ) -> RunResult:
         """Run until halt, a limit, or a VM exit.
 
-        Dispatches to the compiled-block engine when it can reproduce
-        the reference semantics bit-for-bit (plain BareMMU, no policy,
-        no cycle budget); otherwise runs the reference interpreter loop.
+        Dispatches to the compiled-block engine over any MMU and under
+        any VMM policy, unless a cycle budget must stop at an exact
+        instruction edge: ``max_cycles`` always, and ``cycle_guard``
+        under a policy (the VMM's scheduler quantum or hang guard).
+        Compiled blocks stop only at block boundaries, so those runs
+        take the reference interpreter loop.
 
         ``cycle_guard`` is a coarse safety net against guests that burn
         cycles without retiring instructions (trap-delivery livelock):
-        unlike ``max_cycles`` it does not demote the core to the
+        on a bare core (no policy) it does not demote the core to the
         reference interpreter, and the compiled engine only honours it
         at block boundaries. A guard trip returns
         :data:`StopReason.CYCLE_LIMIT`; the precise stop state is *not*
         part of the bit-identical interp/JIT contract (the differential
         fuzzer compares guard trips by class only).
         """
-        if self.jit_enabled and max_cycles is None and self.policy is None:
+        if self.jit_enabled and max_cycles is None and (
+            self.policy is None or cycle_guard is None
+        ):
             jit = self._jit
             if jit is None:
-                jit = self._jit_setup()
-            if jit:
-                return self._run_compiled(jit, max_instructions, cycle_guard)
+                from repro.cpu.jit import BlockJIT
+
+                jit = self._jit = BlockJIT(self)
+            return self._run_compiled(jit, max_instructions, cycle_guard)
         return self._run_interp(max_instructions, max_cycles, cycle_guard)
-
-    def _jit_setup(self):
-        """Probe once whether this core supports compiled blocks."""
-        if type(self.mmu) is BareMMU:
-            from repro.cpu.jit import BlockJIT
-
-            self._jit = BlockJIT(self)
-        else:
-            self._jit = False
-        return self._jit
 
     def _run_compiled(
         self,
@@ -509,8 +506,14 @@ class CPUCore:
         mo = int(CSR.MODE)
         while True:
             if events is not None and self.instret >= events.next_due:
-                events.fire_due(self.instret)
+                fired = events.fire_due(self.instret)
                 self._loop_stop = min(limit_stop, events.next_due)
+                if fired and events.exit_on_fire:
+                    return RunResult(
+                        StopReason.EVENT,
+                        self.instret - start_instr,
+                        self.cycles - start_cycles,
+                    )
             if cycle_guard is not None and (
                 self.cycles - start_cycles >= cycle_guard
             ):

@@ -30,6 +30,12 @@ DESIGN.md, "JIT memory fast path"):
   and cycle budgets are honoured at each loop edge via limits the
   dispatcher publishes on the core (``_loop_stop`` / ``_cycle_stop``).
 
+Generated source depends only on the block's instructions, addresses
+and cost constants, never on the core, so code objects are memoized
+process-wide by source text: every VM booting the same kernel compiles
+each block once. Closures, their namespaces and inline-cache slots stay
+per core.
+
 Correctness contract (enforced by the differential tests): simulated
 ``cycles``/``instret``/register/CSR state, TLB statistics and TLB LRU
 order are **bit-identical** to the reference interpreter. Anything the
@@ -41,12 +47,13 @@ would or falls back to :meth:`CPUCore.step`.
 
 Two consumers:
 
-* :class:`BlockJIT` -- per-core engine behind ``CPUCore.run()``. Blocks
+* :class:`BlockJIT` -- per-core engine behind ``CPUCore.run()``, over
+  every MMU (bare, shadow, two-stage) and under any VMM policy. Blocks
   are keyed by *physical* start address (content-addressed), validated
   against physmem write watchers (self-modifying code) and a per-pc
   dispatch cache revalidated by PTE compare (so ``set_root``,
-  ``invlpg``, flushes and evictions all stop the fast path until the
-  next successful re-probe).
+  ``invlpg``, view switches, flushes and evictions all stop the fast
+  path until the next successful re-probe).
 * :func:`compile_bt_block` -- fuses a :class:`TranslatedBlock`'s item
   list (native runs inlined, callouts as captured calls) so the binary
   translator stops re-walking its tag list on every execution. The BT
@@ -70,6 +77,11 @@ MAX_BLOCK_INSTRUCTIONS = 32
 
 #: Dispatch/pc-cache size bound (cleared wholesale when exceeded).
 _PC_CACHE_MAX = 16384
+
+#: Process-wide code-object cache bound (cleared wholesale when exceeded).
+_CODE_CACHE_MAX = 2048
+#: Generated block source -> compiled module code object.
+_CODE_CACHE: Dict[str, object] = {}
 
 _MEM_OPS = frozenset({Op.LD, Op.ST, Op.LDB, Op.STB})
 _STORE_OPS = frozenset({Op.ST, Op.STB})
@@ -185,12 +197,15 @@ def _compile_items(
     epoch_cell: Optional[list] = None,
     ic_cell: Optional[list] = None,
     callout: Optional[Callable[[Instruction], bool]] = None,
+    inline_walk: bool = False,
 ) -> Callable:
     """Generate and compile one block closure from classified items.
 
     ``items`` is a list of ("native" | "callout", instruction, va); the
     cycle/instret/trap semantics produced are bit-identical to the
     reference paths (``CPUCore.step`` / ``BTEngine._execute_block``).
+    ``inline_walk`` allows inlining the :class:`BareMMU` miss walk into
+    self-looping blocks; other MMUs always miss through ``translate``.
     """
     n = len(items)
     track_tlb = layer == "cpu" and paging
@@ -229,8 +244,8 @@ def _compile_items(
     # BT engine shares its invalidation epoch the same way the bare
     # core's BlockJIT does), so rewritten code is fetched fresh.
     smc_check = has_store and epoch_cell is not None
-    # Inline-cached translations: only for directly-walked paging blocks
-    # (the BT/virtualized MMUs may VM-exit inside translate).
+    # Inline-cached translations: only for core blocks that translate
+    # through the TLB (BT's translate-per-access path stays conservative).
     fast_mem = track_tlb and has_mem
     # A conditional branch back to the block's own start re-enters the
     # closure directly (budgets permitting) instead of re-dispatching.
@@ -247,7 +262,7 @@ def _compile_items(
     # into the closure, replicating translate/walk_quick/TLB.insert
     # statement for statement. Dispatcher-bound blocks keep the plain
     # `tr()` call: their preamble must stay cheap.
-    deep = fast_mem and selfloop
+    deep = fast_mem and selfloop and inline_walk
     miss_c = costs.tlb_miss_cycles
 
     # Static forwarding plan: memory op k may reuse the translation of
@@ -717,7 +732,13 @@ def _compile_items(
         ns["_ich"] = ic_cell if ic_cell is not None else [0]
         if deep:
             ns["_up"] = _U32.unpack_from
-    exec(compile(src.text(), "<pyvisor-jit>", "exec"), ns)  # noqa: S102
+    text = src.text()
+    code = _CODE_CACHE.get(text)
+    if code is None:
+        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+            _CODE_CACHE.clear()
+        code = _CODE_CACHE[text] = compile(text, "<pyvisor-jit>", "exec")
+    exec(code, ns)  # noqa: S102
     return ns["_block"]  # type: ignore[return-value]
 
 
@@ -743,8 +764,13 @@ def compile_bt_block(engine, block) -> Callable:
 class BlockJIT:
     """Per-core compiled-block cache behind ``CPUCore.run()``.
 
-    Supported only over :class:`BareMMU` (native machines); virtualized
-    MMUs conservatively stay on the reference interpreter. Blocks are
+    Works over any MMU whose translation goes through its ``tlb``
+    (:meth:`~repro.cpu.mmu.MMUBase.via_tlb`): bare with paging on, shadow
+    with guest paging on, two-stage always. All share the TLB-hit
+    semantics the inline caches replay; a miss calls ``mmu.translate``,
+    which may raise a :class:`VMExit` the block rolls back precisely.
+    A bare MMU with paging off runs blocks at identity addresses; a
+    shadow MMU with guest paging off (boot code) steps. Blocks are
     keyed ``(pa, va, paging)`` -- content-addressed by physical start so
     a root switch never runs stale code -- and dropped when a physmem
     write watcher reports a store into their frame. Dispatch goes
@@ -755,8 +781,12 @@ class BlockJIT:
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
-        self.mmu: BareMMU = cpu.mmu
+        self.mmu = cpu.mmu
         self.physmem = cpu.mmu.physmem
+        self._via_tlb = cpu.mmu.via_tlb
+        #: Only a bare MMU passes untranslated addresses through as-is
+        #: and has a miss walk simple enough to inline.
+        self._bare = type(cpu.mmu) is BareMMU
         self._blocks: Dict[Tuple[int, int, bool], Tuple] = {}
         self._frame_keys: Dict[int, set] = {}
         #: Dispatch caches: (pc << 1) | mode -> (block, vpn, pte) under
@@ -834,7 +864,7 @@ class BlockJIT:
         ``mode`` is the live MODE csr (privilege is part of the key).
         """
         mmu = self.mmu
-        if mmu.paging_enabled:
+        if self._via_tlb():
             key = (pc << 1) | mode
             ent = self._pc_pg.get(key)
             if ent is not None and mmu.tlb.entry_get(ent[1]) == ent[2]:
@@ -853,7 +883,7 @@ class BlockJIT:
                 if len(self._pc_pg) > _PC_CACHE_MAX:
                     self._pc_pg.clear()
                 self._pc_pg[key] = (blk, vpn, pte)
-        else:
+        elif self._bare:
             blk = self._pc_bare.get(pc)
             if blk is None:
                 pa = pc & 0xFFFFFFFF
@@ -864,6 +894,9 @@ class BlockJIT:
                 if len(self._pc_bare) > _PC_CACHE_MAX:
                     self._pc_bare.clear()
                 self._pc_bare[pc] = blk
+        else:
+            self.fallback_steps += 1
+            return None
         if blk:
             return blk
         self.fallback_steps += 1
@@ -905,6 +938,7 @@ class BlockJIT:
                 vpn=va >> 12,
                 epoch_cell=self._epoch_cell,
                 ic_cell=self._ic_cell,
+                inline_walk=self._bare,
             )
             blk: Tuple = (fn, len(items))
             self.blocks_compiled += 1

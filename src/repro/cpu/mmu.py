@@ -61,6 +61,11 @@ class MMUBase:
         """Invalidate the whole TLB."""
         raise NotImplementedError
 
+    def via_tlb(self) -> bool:
+        """Whether :meth:`translate` currently goes through ``self.tlb``
+        (what the block JIT's inline caches replay)."""
+        raise NotImplementedError
+
 
 class BareMMU(MMUBase):
     """Directly walks the page tables named by the current root.
@@ -115,6 +120,9 @@ class BareMMU(MMUBase):
         self.root_pa = root_pa & ~0xFFF
         self.paging_enabled = True
         self.tlb.flush()
+
+    def via_tlb(self) -> bool:
+        return self.paging_enabled
 
     def invlpg(self, va: int) -> None:
         self.tlb.invalidate((va & 0xFFFFFFFF) >> PAGE_SHIFT)
@@ -295,6 +303,9 @@ class TwoStageMMU(MMUBase):
 
     def flush(self) -> None:
         self.tlb.flush()
+
+    def via_tlb(self) -> bool:
+        return True  # even with guest paging off (one stage-2 walk)
 
     def destroy(self) -> None:
         self.ept.destroy()

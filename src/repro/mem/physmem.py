@@ -1,5 +1,6 @@
 """Byte-addressable physical memory and the frame allocator."""
 
+import mmap
 import struct
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -10,7 +11,12 @@ _U32 = struct.Struct("<I")
 
 
 class PhysicalMemory:
-    """A flat physical address space backed by one ``bytearray``.
+    """A flat physical address space backed by one anonymous mapping.
+
+    The mapping is private and lazily zeroed: host pages are committed
+    only when first written, so a large, mostly idle guest RAM costs
+    little resident memory, and a forked worker process never shares
+    pages with its parent.
 
     All accessors bounds-check and raise :class:`MemoryError_` on
     out-of-range addresses -- a guest must never be able to corrupt the
@@ -25,7 +31,9 @@ class PhysicalMemory:
             )
         self.size = nbytes
         self.num_frames = nbytes >> PAGE_SHIFT
-        self._data = bytearray(nbytes)
+        self._data = mmap.mmap(
+            -1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        )
         #: Write watchers: (watched pfn set, callback(pfn)). The caller
         #: owns and mutates the set; the callback fires after any store
         #: that touches a watched frame. CPU cores use this to invalidate

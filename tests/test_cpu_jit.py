@@ -607,7 +607,7 @@ class TestEngineManagement:
         assert stats["enabled"] == 0 and stats["active"] == 0
         assert stats["blocks_compiled"] == 0
 
-    def test_policy_forces_reference_path(self):
+    def test_policy_without_budget_compiles(self):
         from repro.cpu.interp import VirtPolicy
 
         cpu, pm = _make_cpu(jit=True)
@@ -615,7 +615,41 @@ class TestEngineManagement:
         pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=5))
         pm.write_bytes(0x1008, encode(Op.HLT))
         cpu.run(max_instructions=100)
+        assert cpu.jit_stats()["blocks_compiled"] == 1
+        assert cpu.regs[3] == 5
+
+    def test_policy_with_cycle_guard_forces_reference_path(self):
+        # A VMM's cycle budget must stop at an exact instruction edge,
+        # which compiled blocks cannot do.
+        from repro.cpu.interp import VirtPolicy
+
+        cpu, pm = _make_cpu(jit=True)
+        cpu.policy = VirtPolicy()
+        pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=5))
+        pm.write_bytes(0x1008, encode(Op.HLT))
+        cpu.run(max_instructions=100, cycle_guard=10_000)
         assert cpu.jit_stats()["blocks_compiled"] == 0
+        assert cpu.regs[3] == 5
+
+    def test_shadow_with_guest_paging_off_steps(self):
+        from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
+
+        hv = Hypervisor(memory_bytes=4 * MIB)
+        vm = hv.create_vm(GuestConfig(
+            name="boot", memory_bytes=1 * MIB, virt_mode=VirtMode.HW_ASSIST,
+            mmu_mode=MMUVirtMode.SHADOW, prealloc=True))
+        vm.guest_mem.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=5)
+                                 + encode(Op.ADD, rd=3, ra=3, imm32=1)
+                                 + encode(Op.HLT))
+        hv.reset_vcpu(vm, 0x1000)
+        cpu = vm.vcpus[0].cpu
+        assert not cpu.mmu.via_tlb()
+        cpu.run(max_instructions=2)
+        stats = cpu.jit_stats()
+        assert stats["active"] == 1
+        assert stats["blocks_compiled"] == 0
+        assert stats["fallback_steps"] == 2
+        assert cpu.regs[3] == 6
 
     def test_cost_model_change_flushes_blocks(self):
         cpu, pm = _make_cpu(jit=True)
@@ -701,3 +735,59 @@ class TestCompiledMatchesOracleOnWorkloads:
                 )
             )
         assert states[0] == states[1]
+
+
+class TestProcessWideCodeCache:
+    LOOP = """
+.org 0x1000
+    li s0, 0x100000
+    li s1, 40
+loop:
+    st [s0+0], s1
+    ld s2, [s0+0]
+    add t1, t1, s2
+    add s0, s0, 4096
+    sub s1, s1, 1
+    bnez s1, loop
+    hlt
+"""
+
+    def _core(self):
+        cpu, pm = _make_cpu(jit=True)
+        pm.write_bytes(0x1000, _asm(self.LOOP))
+        TestPaging._setup_paging(cpu, pm, pages=40)
+        return cpu, pm
+
+    def test_cores_share_code_but_not_closures_or_inline_caches(self):
+        alone = []
+        for _ in range(2):
+            cpu, pm = self._core()
+            assert cpu.run(max_instructions=50_000).stop is StopReason.HALT
+            alone.append(_snapshot(cpu, pm))
+        assert alone[0] == alone[1]
+
+        a, a_pm = self._core()
+        b, b_pm = self._core()
+        # Interleave short slices so each core's blocks run while the
+        # other's inline caches hold different translations.
+        for _ in range(200):
+            for cpu in (a, b):
+                if not cpu.halted:
+                    cpu.run(max_instructions=7)
+        assert a.halted and b.halted
+        assert _snapshot(a, a_pm) == alone[0]
+        assert _snapshot(b, b_pm) == alone[0]
+
+        shared = 0
+        for key, blk in a._jit._blocks.items():
+            other = b._jit._blocks.get(key)
+            if not blk or not other:
+                continue
+            fn_a, fn_b = blk[0], other[0]
+            assert fn_a is not fn_b
+            assert fn_a.__code__ is fn_b.__code__
+            assert fn_a.__globals__ is not fn_b.__globals__
+            if "_ic" in fn_a.__globals__:
+                assert fn_a.__globals__["_ic"] is not fn_b.__globals__["_ic"]
+                shared += 1
+        assert shared > 0

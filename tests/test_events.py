@@ -155,6 +155,19 @@ class TestDeliveryRule:
         assert cpu.instret == 10  # edge N, before the fetch of N+1
         assert Cause.IRQ_TIMER in cpu.pending_irqs
 
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_exit_on_fire_stops_straight_line_code(self, jit):
+        # A straight-line block longer than the distance to the due
+        # edge: the compiled dispatcher must step up to the edge and
+        # then return EVENT, exactly like the interpreter.
+        E = encode
+        image = {ENTRY: E(Op.ADD, rd=3, ra=3, imm32=1) * 20 + E(Op.HLT)}
+        cpu = _cpu(image, jit=jit, events=[(5, 0)], exit_on_fire=True)
+        res = cpu.run()
+        assert res.stop is StopReason.EVENT
+        assert res.instructions == 5
+        assert cpu.regs[3] == 5
+
     @pytest.mark.parametrize("due", [1, 9, 10, 11, 37, 100])
     def test_jit_matches_interp_bit_for_bit(self, due):
         image = _sti_loop_image(40)

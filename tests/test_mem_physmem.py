@@ -1,5 +1,7 @@
 """Physical memory and the frame allocator."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,25 @@ class TestPhysicalMemory:
         assert pm.read_u32(0) == 0x12345678
         assert pm.read_u8(0) == 0x78
         assert pm.read_u8(3) == 0x12
+
+    def test_fresh_memory_reads_zero(self):
+        pm = PhysicalMemory(64 * PAGE_SIZE)
+        assert pm.read_bytes(0, pm.size) == bytes(pm.size)
+        assert pm.read_u32(pm.size - 4) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_write_is_invisible_to_parent(self):
+        pm = PhysicalMemory(4 * PAGE_SIZE)
+        pm.write_u32(PAGE_SIZE, 0x1234)
+        pid = os.fork()
+        if pid == 0:  # child: write, then leave without cleanup
+            pm.write_u32(PAGE_SIZE, 0xDEAD)
+            pm.write_u32(2 * PAGE_SIZE, 0xBEEF)
+            os._exit(0 if pm.read_u32(PAGE_SIZE) == 0xDEAD else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert pm.read_u32(PAGE_SIZE) == 0x1234
+        assert pm.read_u32(2 * PAGE_SIZE) == 0
 
     def test_u8_masking(self):
         pm = PhysicalMemory(PAGE_SIZE)
