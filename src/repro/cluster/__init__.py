@@ -2,7 +2,9 @@
 
 Models a fleet of physical hosts running many VMs:
 
-* :mod:`repro.cluster.host` -- host/VM specifications and placements;
+* :mod:`repro.cluster.host` -- host/VM specifications, the capacity
+  ledger that live hosts and the coordinator's barrier copies share,
+  and placements;
 * :mod:`repro.cluster.placement` -- first-fit / best-fit / worst-fit
   vector bin packing (memory is a hard constraint, CPU oversubscribes)
   and a consolidation planner (first-fit decreasing);

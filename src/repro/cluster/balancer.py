@@ -9,7 +9,7 @@ link, so concurrent rebalancing decisions queue on real bandwidth.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.host import Host, HostSummary, Placement, VMSpec
 from repro.cluster.placement import ConstraintSet
@@ -169,72 +169,51 @@ class RebalanceMove:
     dst_shard: int
 
 
-class _WorkingHost:
-    """Mutable per-host load the planner updates as it commits moves."""
-
-    __slots__ = ("summary", "cpu_demand", "memory_free", "vms")
-
-    def __init__(self, summary: HostSummary):
-        self.summary = summary
-        self.cpu_demand = summary.cpu_demand
-        self.memory_free = summary.memory_free
-        self.vms: Dict[str, VMSpec] = {vm.name: vm for vm in summary.vms}
-
-    @property
-    def utilization(self) -> float:
-        return self.cpu_demand / self.summary.cpu_capacity
-
-
-def plan_rebalance(summaries: Sequence[HostSummary],
+def plan_rebalance(hosts: Sequence[HostSummary],
                    high_watermark: float = 0.85,
                    low_watermark: float = 0.70,
                    max_moves: int = 8) -> List[RebalanceMove]:
     """The :meth:`LoadBalancer._pick_move` greedy, lifted to summaries.
 
     The sharded coordinator cannot touch live hosts, so it plans
-    against :class:`HostSummary` snapshots at the epoch barrier and
-    ships each move as a depart/arrive message pair. Moves are applied
-    to a working copy as they are planned, so later picks see earlier
-    decisions. Determinism: ties in the max/min selections resolve to
-    the first candidate in ``summaries`` order, which callers keep in
+    against its :class:`HostSummary` copies at the epoch barrier and
+    ships each move as a depart/arrive message pair. Each move is
+    committed on ``hosts`` (removed from the source, placed on the
+    target) as it is planned, so later picks -- and the caller --
+    see it. Determinism: ties in the max/min selections resolve to
+    the first candidate in ``hosts`` order, which callers keep in
     (shard, host index) order.
     """
     if not 0 < low_watermark <= high_watermark <= 1.5:
         raise ConfigError("watermarks must satisfy 0 < low <= high")
-    hosts = [_WorkingHost(s) for s in summaries]
     moves: List[RebalanceMove] = []
     for _ in range(max_moves):
-        overloaded = [h for h in hosts
-                      if h.summary.alive and h.vms
-                      and h.utilization > high_watermark]
+        demand = [h.cpu_demand for h in hosts]
+        load = [d / h.cpu_capacity for d, h in zip(demand, hosts)]
+        overloaded = [i for i, h in enumerate(hosts)
+                      if h.alive and h.vms and load[i] > high_watermark]
         if not overloaded:
             break
-        source = max(overloaded, key=lambda h: h.utilization)
-        excess = (source.cpu_demand
-                  - high_watermark * source.summary.cpu_capacity)
+        s = max(overloaded, key=load.__getitem__)
+        source = hosts[s]
+        excess = demand[s] - high_watermark * source.cpu_capacity
         candidates = sorted(source.vms.values(),
                             key=lambda v: (v.cpu_demand, v.name))
-        vm = next((v for v in candidates if v.cpu_demand >= excess), None)
-        if vm is None:
-            vm = candidates[-1]  # biggest we have; partial relief
+        # Smallest VM whose departure clears the mark, else the biggest
+        # we have (partial relief).
+        vm = next((v for v in candidates if v.cpu_demand >= excess),
+                  candidates[-1])
         targets = [
-            h for h in hosts
-            if h is not source
-            and h.summary.alive
-            and vm.memory_bytes <= h.memory_free
-            and ((h.cpu_demand + vm.cpu_demand)
-                 / h.summary.cpu_capacity) <= low_watermark
+            i for i, h in enumerate(hosts)
+            if i != s
+            and h.fits(vm)
+            and (demand[i] + vm.cpu_demand) / h.cpu_capacity <= low_watermark
         ]
         if not targets:
             break
-        target = min(targets, key=lambda h: h.utilization)
-        del source.vms[vm.name]
-        source.cpu_demand -= vm.cpu_demand
-        source.memory_free += vm.memory_bytes
-        target.vms[vm.name] = vm
-        target.cpu_demand += vm.cpu_demand
-        target.memory_free -= vm.memory_bytes
+        target = hosts[min(targets, key=load.__getitem__)]
+        target.place(source.remove(vm.name))
         moves.append(RebalanceMove(
-            vm=vm, src=source.summary.name, dst=target.summary.name,
-            src_shard=source.summary.shard, dst_shard=target.summary.shard))
+            vm=vm, src=source.name, dst=target.name,
+            src_shard=source.shard, dst_shard=target.shard))
     return moves

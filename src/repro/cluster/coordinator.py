@@ -41,13 +41,13 @@ the configuration and seed.
 import hashlib
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.balancer import plan_rebalance
 from repro.cluster.host import Host, HostSpec, HostSummary, VMSpec
 from repro.cluster.interference import host_performance
-from repro.cluster.placement import first_fit
+from repro.cluster.placement import first_fit, reservation_satisfied
 from repro.cluster.workgen import DEFAULT_CATALOGUE, VMClass, generate_fleet
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.obs.clock import ManualClock
@@ -271,8 +271,7 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
                 if base is None:
                     continue
                 factor = 1.0 + (state.rng.random() * 2.0 - 1.0) * jitter
-                host.vms[name] = replace(host.vms[name],
-                                         cpu_demand=round(base * factor, 3))
+                host.set_cpu_demand(name, round(base * factor, 3))
 
     if state.injector is not None:
         for host in state.hosts:
@@ -306,59 +305,6 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
 
 
 # -- the coordinator ---------------------------------------------------------
-
-
-class _BarrierHost:
-    """Coordinator's working copy of one host between summary and plan."""
-
-    __slots__ = ("name", "shard", "domain", "alive", "cpu_capacity",
-                 "memory_bytes", "vms")
-
-    def __init__(self, summary: HostSummary):
-        self.name = summary.name
-        self.shard = summary.shard
-        self.domain = summary.domain
-        self.alive = summary.alive
-        self.cpu_capacity = summary.cpu_capacity
-        self.memory_bytes = summary.memory_bytes
-        self.vms: Dict[str, VMSpec] = {vm.name: vm for vm in summary.vms}
-
-    @property
-    def memory_used(self) -> int:
-        return sum(vm.memory_bytes for vm in self.vms.values())
-
-    @property
-    def memory_free(self) -> int:
-        return self.memory_bytes - self.memory_used
-
-    @property
-    def cpu_demand(self) -> float:
-        return sum(vm.cpu_demand for vm in self.vms.values())
-
-    def fits(self, vm: VMSpec) -> bool:
-        return self.alive and vm.memory_bytes <= self.memory_free
-
-    def summary(self) -> HostSummary:
-        return HostSummary(
-            name=self.name, index=0, shard=self.shard, domain=self.domain,
-            alive=self.alive, cpu_capacity=self.cpu_capacity,
-            memory_bytes=self.memory_bytes,
-            vms=tuple(self.vms[n] for n in sorted(self.vms)))
-
-
-def _reserve_satisfied(hosts: Sequence[_BarrierHost], reserve: int) -> bool:
-    """Summary-level N+R: can the ``reserve`` most-loaded alive hosts
-    evacuate into the free memory of the rest?"""
-    alive = [h for h in hosts if h.alive]
-    if reserve <= 0:
-        return True
-    if len(alive) <= reserve:
-        return False
-    doomed = sorted(alive, key=lambda h: (-h.memory_used, h.name))[:reserve]
-    doomed_names = {h.name for h in doomed}
-    needed = sum(h.memory_used for h in doomed)
-    free = sum(h.memory_free for h in alive if h.name not in doomed_names)
-    return needed <= free
 
 
 @dataclass
@@ -480,10 +426,11 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                     raise ConfigError("unexpected direct shard-to-shard "
                                       "message")
 
-            work: List[_BarrierHost] = []
+            # The summaries are the barrier's own copies: every decision
+            # below is committed on them, so later stages see it.
+            work: List[HostSummary] = []
             for result in results:
-                work.extend(_BarrierHost(s) for s in result[1])
-            by_name = {h.name: h for h in work}
+                work.extend(result[1])
 
             decisions: List[ShardMessage] = []
 
@@ -505,25 +452,23 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                 if candidates:
                     target = max(candidates,
                                  key=lambda h: (h.memory_free, h.name))
-                    target.vms[vm.name] = vm
+                    target.place(vm)
                     send("arrive", target.shard, (vm, target.name))
                     coord.counter("evac.replaced").inc()
                 else:
                     pending_evac.append(vm)
                     coord.counter("evac.deferred").inc()
 
-            # 2. Rebalancing: the DRS greedy over summaries; each move
-            # becomes a depart/arrive pair delivered next epoch.
+            # 2. Rebalancing: the DRS greedy over summaries, which moves
+            # the VMs on them; each move becomes a depart/arrive pair
+            # delivered next epoch.
             if config.balance:
                 moves = plan_rebalance(
-                    [h.summary() for h in work],
+                    work,
                     high_watermark=config.high_watermark,
                     low_watermark=config.low_watermark,
                     max_moves=config.max_moves_per_epoch)
                 for move in moves:
-                    src, dst = by_name[move.src], by_name[move.dst]
-                    del src.vms[move.vm.name]
-                    dst.vms[move.vm.name] = move.vm
                     send("depart", move.src_shard, (move.vm.name, move.src))
                     send("arrive", move.dst_shard, (move.vm, move.dst))
                     coord.counter("balancer.moves").inc()
@@ -544,11 +489,11 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                 if target is None:
                     coord.counter("admission.rejected.capacity").inc()
                     continue
-                target.vms[vm.name] = vm
-                if not _reserve_satisfied(work, config.reserve_failures):
-                    del target.vms[vm.name]
+                if not reservation_satisfied(work, config.reserve_failures,
+                                             candidate=target, vm=vm):
                     coord.counter("admission.rejected.reserve").inc()
                     continue
+                target.place(vm)
                 send("arrive", target.shard, (vm, target.name))
                 coord.counter("admission.accepted").inc()
 

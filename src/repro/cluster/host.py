@@ -1,7 +1,7 @@
 """Host and VM specifications, and placements of VMs onto hosts."""
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.registry import MetricsRegistry, counter_attr
 from repro.util.errors import ConfigError
@@ -49,7 +49,78 @@ class VMSpec:
             raise ConfigError("memory must be positive")
 
 
-class Host:
+class HostLedger:
+    """Capacity bookkeeping for one host: its resident VMs and their memory.
+
+    The one owner of writes to ``vms``. ``memory_used`` is a running
+    integer total that only :meth:`place` and :meth:`remove` change, so
+    :meth:`fits` costs the same however many VMs the host runs. CPU
+    demand stays a sum over the residents: demands are rounded floats,
+    and a running float total could round differently from the sum.
+    """
+
+    def __init__(self, name: str, index: int, domain: str,
+                 memory_bytes: int, cpu_capacity: float, alive: bool = True,
+                 vms: Iterable[VMSpec] = ()):
+        self.name = name
+        self.index = index
+        self.domain = domain
+        self.memory_bytes = memory_bytes
+        self.cpu_capacity = cpu_capacity
+        self.alive = alive
+        self.vms: Dict[str, VMSpec] = {vm.name: vm for vm in vms}
+        self.memory_used = sum(vm.memory_bytes for vm in self.vms.values())
+
+    @property
+    def memory_free(self) -> int:
+        return self.memory_bytes - self.memory_used
+
+    @property
+    def cpu_demand(self) -> float:
+        return sum(vm.cpu_demand for vm in self.vms.values())
+
+    @property
+    def cpu_utilization(self) -> float:
+        """Actual utilization: demand clipped at capacity, normalized."""
+        return min(1.0, self.cpu_demand / self.cpu_capacity)
+
+    def fits(self, vm: VMSpec) -> bool:
+        """Memory is the hard constraint; CPU may oversubscribe.
+
+        A dead host fits nothing.
+        """
+        return (self.alive
+                and vm.memory_bytes <= self.memory_bytes - self.memory_used)
+
+    def place(self, vm: VMSpec) -> None:
+        if vm.name in self.vms:
+            raise ConfigError(f"VM {vm.name} already on {self.name}")
+        if not self.fits(vm):
+            raise ConfigError(f"VM {vm.name} does not fit on {self.name}")
+        self.vms[vm.name] = vm
+        self.memory_used += vm.memory_bytes
+
+    def remove(self, name: str) -> VMSpec:
+        try:
+            vm = self.vms.pop(name)
+        except KeyError:
+            raise ConfigError(f"VM {name} not on {self.name}") from None
+        self.memory_used -= vm.memory_bytes
+        return vm
+
+    def set_cpu_demand(self, name: str, cpu_demand: float) -> None:
+        """Re-rate one resident VM's CPU demand (its memory is unchanged)."""
+        self.vms[name] = replace(self.vms[name], cpu_demand=cpu_demand)
+
+    def __repr__(self) -> str:
+        return (
+            f"<{type(self).__name__} {self.name} {len(self.vms)} VMs, "
+            f"cpu {self.cpu_demand:.1f}/{self.cpu_capacity}, "
+            f"mem {self.memory_used / MIB:.0f}/{self.memory_bytes / MIB:.0f} MiB>"
+        )
+
+
+class Host(HostLedger):
     """A host instance holding placed VMs."""
 
     placements = counter_attr()
@@ -58,18 +129,17 @@ class Host:
     def __init__(self, spec: HostSpec, index: int, metrics=None,
                  domain: Optional[str] = None):
         spec.validate()
+        # Hosts of one shared spec can still land in different failure
+        # domains (racks) via the ``domain`` override.
+        super().__init__(
+            f"{spec.name}-{index}", index,
+            domain if domain is not None else spec.failure_domain,
+            spec.memory_bytes, spec.cpu_capacity)
         self.spec = spec
-        self.index = index
-        self.name = f"{spec.name}-{index}"
-        #: Failure domain this host lives in; hosts of one shared spec
-        #: can still land in different racks via the ``domain`` override.
-        self.domain = domain if domain is not None else spec.failure_domain
         #: ``cluster.host.<name>.*``; pass a shared scope to aggregate a
         #: whole cluster into one registry.
         self.metrics = (metrics if metrics is not None else
                         MetricsRegistry().scope(f"cluster.host.{self.name}"))
-        self.vms: Dict[str, VMSpec] = {}
-        self.alive = True
 
     # -- failure model -------------------------------------------------------
 
@@ -97,46 +167,12 @@ class Host:
             return True
         return False
 
-    @property
-    def memory_used(self) -> int:
-        return sum(vm.memory_bytes for vm in self.vms.values())
-
-    @property
-    def memory_free(self) -> int:
-        return self.spec.memory_bytes - self.memory_used
-
-    @property
-    def cpu_demand(self) -> float:
-        return sum(vm.cpu_demand for vm in self.vms.values())
-
-    @property
-    def cpu_utilization(self) -> float:
-        """Actual utilization: demand clipped at capacity, normalized."""
-        return min(1.0, self.cpu_demand / self.spec.cpu_capacity)
-
-    def fits(self, vm: VMSpec) -> bool:
-        """Memory is the hard constraint; CPU may oversubscribe.
-
-        A dead host fits nothing.
-        """
-        return self.alive and vm.memory_bytes <= self.memory_free
-
     def place(self, vm: VMSpec) -> None:
-        if vm.name in self.vms:
-            raise ConfigError(f"VM {vm.name} already on {self.name}")
-        if not self.fits(vm):
-            raise ConfigError(f"VM {vm.name} does not fit on {self.name}")
-        self.vms[vm.name] = vm
+        super().place(vm)
         self.placements += 1
 
-    def remove(self, name: str) -> VMSpec:
-        try:
-            return self.vms.pop(name)
-        except KeyError:
-            raise ConfigError(f"VM {name} not on {self.name}") from None
-
     def summary(self, shard: int = 0) -> "HostSummary":
-        """A frozen, picklable snapshot for coordinator-side decisions.
+        """A picklable copy for coordinator-side decisions.
 
         Sharded runs never ship live :class:`Host` objects across the
         epoch barrier (they drag their metrics scope, and hence the
@@ -149,58 +185,35 @@ class Host:
             shard=shard,
             domain=self.domain,
             alive=self.alive,
-            cpu_capacity=self.spec.cpu_capacity,
-            memory_bytes=self.spec.memory_bytes,
-            vms=tuple(self.vms[name] for name in sorted(self.vms)),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<Host {self.name} {len(self.vms)} VMs, "
-            f"cpu {self.cpu_demand:.1f}/{self.spec.cpu_capacity}, "
-            f"mem {self.memory_used / MIB:.0f}/{self.spec.memory_bytes / MIB:.0f} MiB>"
+            cpu_capacity=self.cpu_capacity,
+            memory_bytes=self.memory_bytes,
+            vms=[self.vms[name] for name in sorted(self.vms)],
         )
 
 
-@dataclass(frozen=True)
-class HostSummary:
-    """Coordinator-side view of one host at an epoch barrier.
+class HostSummary(HostLedger):
+    """Coordinator-side copy of one host at an epoch barrier.
 
     Carries everything the global decisions (admission, rebalancing,
-    evacuation re-placement, N+1 checks) need -- capacity, liveness,
-    failure domain, and the resident :class:`VMSpec` set -- and nothing
-    that aliases shard state. VMs are listed in sorted-name order so
-    two runs producing the same placement produce identical summaries.
+    evacuation re-placement, N+R checks) need -- capacity, liveness,
+    failure domain, owning shard, and the resident :class:`VMSpec`
+    set -- and nothing that aliases shard state. The barrier places,
+    removes and moves VMs on these copies as it decides. VMs start in
+    sorted-name order, so two runs producing the same placement produce
+    equal summaries.
     """
 
-    name: str
-    index: int
-    shard: int
-    domain: str
-    alive: bool
-    cpu_capacity: float
-    memory_bytes: int
-    vms: Tuple[VMSpec, ...] = ()
+    def __init__(self, name: str, index: int, shard: int, domain: str,
+                 alive: bool, cpu_capacity: float, memory_bytes: int,
+                 vms: Iterable[VMSpec] = ()):
+        super().__init__(name, index, domain, memory_bytes, cpu_capacity,
+                         alive, vms)
+        self.shard = shard
 
-    @property
-    def cpu_demand(self) -> float:
-        return sum(vm.cpu_demand for vm in self.vms)
+    def __eq__(self, other) -> bool:
+        return type(other) is HostSummary and vars(self) == vars(other)
 
-    @property
-    def cpu_utilization(self) -> float:
-        return min(1.0, self.cpu_demand / self.cpu_capacity)
-
-    @property
-    def memory_used(self) -> int:
-        return sum(vm.memory_bytes for vm in self.vms)
-
-    @property
-    def memory_free(self) -> int:
-        return self.memory_bytes - self.memory_used
-
-    def fits(self, vm: VMSpec) -> bool:
-        """Same contract as :meth:`Host.fits`: memory-hard, CPU-soft."""
-        return self.alive and vm.memory_bytes <= self.memory_free
+    __hash__ = None
 
 
 @dataclass

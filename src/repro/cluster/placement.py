@@ -21,7 +21,7 @@ from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
-from repro.cluster.host import Host, HostSpec, Placement, VMSpec
+from repro.cluster.host import Host, HostLedger, HostSpec, Placement, VMSpec
 from repro.faults.recovery import RetryPolicy
 from repro.migration.model import MigrationConfig, simulate_precopy
 from repro.sim.kernel import Simulator
@@ -108,16 +108,17 @@ class ConstraintSet:
 
 
 def reservation_satisfied(
-    hosts: Sequence[Host],
+    hosts: Sequence[HostLedger],
     reserve: int,
-    candidate: Optional[Host] = None,
+    candidate: Optional[HostLedger] = None,
     vm: Optional[VMSpec] = None,
 ) -> bool:
     """N+R capacity check, optionally with ``vm`` pre-placed on ``candidate``.
 
     True iff the free memory on the alive hosts *outside* the
     ``reserve`` most-loaded ones can absorb everything those
-    most-loaded hosts currently run.
+    most-loaded hosts currently run. Works on live hosts and on the
+    sharded coordinator's :class:`HostSummary` copies alike.
     """
     if reserve <= 0:
         return True
@@ -125,14 +126,13 @@ def reservation_satisfied(
     if reserve >= len(alive):
         return False  # nobody would be left to evacuate onto
 
-    def used(h: Host) -> int:
+    def used(h: HostLedger) -> int:
         extra = vm.memory_bytes if (vm is not None and h is candidate) else 0
         return h.memory_used + extra
 
-    doomed = sorted(alive, key=lambda h: (-used(h), h.index))[:reserve]
-    spare = sum(h.spec.memory_bytes - used(h) for h in alive
-                if h not in doomed)
-    return spare >= sum(used(h) for h in doomed)
+    ranked = sorted(alive, key=lambda h: (-used(h), h.index))
+    spare = sum(h.memory_bytes - used(h) for h in ranked[reserve:])
+    return spare >= sum(used(h) for h in ranked[:reserve])
 
 
 def _constrained_candidates(

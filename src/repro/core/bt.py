@@ -190,16 +190,20 @@ class BTEngine:
             else:
                 cpu.cycles += self.costs.bt_dispatch_cycles
             prev_block_va = block.start_va
-            if (
-                events is not None
-                and block.num_instructions > events.next_due - cpu.instret
+            if self.compile_enabled and (
+                events is None
+                or block.num_instructions <= events.next_due - cpu.instret
             ):
-                # A scheduled edge falls inside this block: walk it
-                # item-by-item so the event fires (and delivers) at the
-                # exact retire edge instead of the block boundary.
-                self._execute_block_edge(block, events)
+                fn = block.fn
+                if fn is None:
+                    fn = block.fn = compile_bt_block(self, block)
+                fn(cpu)
             else:
-                self._execute_block(block)
+                # Fused closures off, or a scheduled edge falls inside
+                # this block: walk it item by item, so an event fires
+                # (and delivers) at the exact retire edge instead of
+                # the block boundary.
+                self._execute_block_interp(block)
         return "halted" if self.vcpu.halted else "mode_switch"
 
     def invalidate_gfn(self, gfn: int) -> None:
@@ -335,59 +339,29 @@ class BTEngine:
         vm.stats.bt_translated_instructions += len(items)
         return TranslatedBlock(start_va=va, items=items, code_gfns=code_gfns)
 
-    def _execute_block(self, block: TranslatedBlock) -> None:
-        if not self.compile_enabled:
-            self._execute_block_interp(block)
-            return
-        fn = block.fn
-        if fn is None:
-            fn = block.fn = compile_bt_block(self, block)
-        fn(self.vcpu.cpu)
+    def _execute_block_interp(self, block: TranslatedBlock) -> None:
+        """Reference per-item walk; the oracle the fused closures must
+        match cycle-for-cycle (see tests/test_cpu_jit.py).
 
-    def _execute_block_edge(self, block: TranslatedBlock, events) -> None:
-        """Per-item walk honouring retire-edge event delivery.
-
-        Used instead of the fused closure when a scheduled event edge
-        lands inside the block. Cycle charges are identical to
-        :meth:`_execute_block_interp` (which the closures match
-        cycle-for-cycle), so which executor ran is invisible to the
-        differential comparison.
+        It also honours retire-edge event delivery: ``events.next_due``
+        is read live before every item, so a due event fires, and an
+        unmasked pending virq is injected, at the exact edge.
         """
         vcpu = self.vcpu
         cpu = vcpu.cpu
-        vm = vcpu.vm
+        events = cpu.events
         costs = self.costs
         epoch = self._epoch
         e0 = epoch[0]
         last = block.items[-1]
         for item in block.items:
             kind, ins = item
-            if cpu.instret >= events.next_due:
+            if events is not None and cpu.instret >= events.next_due:
                 events.fire_due(cpu.instret)
-                if vm.pending_virqs and vcpu.vcsr[CSR.IE]:
+                if vcpu.vm.pending_virqs and vcpu.vcsr[CSR.IE]:
                     vcpu.halted = False
                     vcpu.try_inject_virq()
                     return
-            if kind == "native":
-                cpu.cycles += costs.instr_cycles
-                cpu.execute(ins)  # VMExit may propagate (guest fault)
-                if ins.op in _STORE_OPS and epoch[0] != e0 and item is not last:
-                    return
-            else:
-                cpu.cycles += costs.bt_callout_cycles
-                if self._callout(ins):
-                    return
-
-    def _execute_block_interp(self, block: TranslatedBlock) -> None:
-        """Reference per-item walk; the oracle the fused closures must
-        match cycle-for-cycle (see tests/test_cpu_jit.py)."""
-        cpu = self.vcpu.cpu
-        costs = self.costs
-        epoch = self._epoch
-        e0 = epoch[0]
-        last = block.items[-1]
-        for item in block.items:
-            kind, ins = item
             if kind == "native":
                 cpu.cycles += costs.instr_cycles
                 cpu.execute(ins)  # VMExit may propagate (guest fault)
@@ -398,8 +372,7 @@ class BTEngine:
                     return
             else:
                 cpu.cycles += costs.bt_callout_cycles
-                stop = self._callout(ins)
-                if stop:
+                if self._callout(ins):
                     return
 
     def _callout(self, ins: Instruction) -> bool:

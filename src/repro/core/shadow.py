@@ -124,15 +124,12 @@ class ShadowMMU(MMUBase):
             return (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
         space = self._current_space()
         try:
-            result = self.walker.walk(space.root_pa, va, access, user)
+            pte = self.walker.walk(space.root_pa, va, access, user)
         except PageFault:
             self._miss(va, access, user)  # always raises
             raise AssertionError("unreachable")
-        self.tlb.insert(vpn, result.pte)
-        return (
-            result.paddr,
-            self.costs.tlb_hit_cycles + result.mem_refs * self.costs.mem_ref_cycles,
-        )
+        self.tlb.insert(vpn, pte)
+        return (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_miss_cycles
 
     def set_root(self, root_pa: int) -> None:
         """CSRW PTBR reached the MMU: the operand is a *guest* PA."""

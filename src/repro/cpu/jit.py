@@ -203,7 +203,7 @@ def _compile_items(
 
     ``items`` is a list of ("native" | "callout", instruction, va); the
     cycle/instret/trap semantics produced are bit-identical to the
-    reference paths (``CPUCore.step`` / ``BTEngine._execute_block``).
+    reference paths (``CPUCore.step`` / ``BTEngine._execute_block_interp``).
     ``inline_walk`` allows inlining the :class:`BareMMU` miss walk into
     self-looping blocks; other MMUs always miss through ``translate``.
     """
@@ -259,7 +259,7 @@ def _compile_items(
     # Self-looping blocks are hot by construction, so their IC-miss
     # slow path additionally inlines the whole reference translate
     # (TLB probe + 2-level walk + insert/evict bookkeeping) straight
-    # into the closure, replicating translate/walk_quick/TLB.insert
+    # into the closure, replicating translate/PageTableWalker.walk/TLB.insert
     # statement for statement. Dispatcher-bound blocks keep the plain
     # `tr()` call: their preamble must stay cheap.
     deep = fast_mem and selfloop and inline_walk
@@ -493,7 +493,7 @@ def _compile_items(
             if deep:
                 # Inline replica of BareMMU.translate on this access
                 # class: probe (reference lookup conditions + stats +
-                # LRU), then walk_quick (raw reads, fault order, A/D
+                # LRU), then the walker (raw reads, fault order, A/D
                 # write visibility), then TLB.insert (LRU refresh or
                 # evict + epoch), then the IC/forwarding fill.
                 hit_cond = "not u or _pte & 4"
@@ -745,10 +745,10 @@ def _compile_items(
 def compile_bt_block(engine, block) -> Callable:
     """Fuse a :class:`~repro.core.bt.TranslatedBlock` into one closure.
 
-    Semantics are bit-identical to ``BTEngine._execute_block``: natives
-    charge ``instr_cycles`` (+ALU extras) and execute inline; callouts
-    charge ``bt_callout_cycles`` and call ``engine._callout`` with
-    cycles/instret/pc committed, so emulation sees live state.
+    Semantics are bit-identical to ``BTEngine._execute_block_interp``:
+    natives charge ``instr_cycles`` (+ALU extras) and execute inline;
+    callouts charge ``bt_callout_cycles`` and call ``engine._callout``
+    with cycles/instret/pc committed, so emulation sees live state.
     """
     items: List[Tuple[str, Instruction, int]] = []
     va = block.start_va

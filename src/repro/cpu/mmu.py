@@ -108,11 +108,7 @@ class BareMMU(MMUBase):
             tlb.stats.hits += 1
             return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
         tlb.stats.misses += 1
-        # walk_quick is the allocation-free twin of walker.walk: same
-        # counters, same fault order, same A/D write visibility. The
-        # frame bits of the returned PTE equal WalkResult.paddr's frame
-        # (A/D updates never touch the frame field).
-        pte = self.walker.walk_quick(self.root_pa, va, access, user)
+        pte = self.walker.walk(self.root_pa, va, access, user)
         tlb.insert(vpn, pte)
         return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_miss_cycles
 

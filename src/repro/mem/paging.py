@@ -87,16 +87,6 @@ def split_vaddr(va: int) -> Tuple[int, int, int]:
     return (va >> 22) & 0x3FF, (va >> 12) & 0x3FF, va & 0xFFF
 
 
-@dataclass(frozen=True)
-class WalkResult:
-    """Outcome of a successful page-table walk."""
-
-    paddr: int
-    pte_paddr: int  # physical address of the leaf PTE (for W^X tricks, dirty scan)
-    pte: int
-    mem_refs: int  # memory references the walk performed (2 for 2 levels)
-
-
 class PageTableWalker:
     """Walks 2-level tables stored in a :class:`PhysicalMemory`."""
 
@@ -106,75 +96,22 @@ class PageTableWalker:
         self.faults = 0
 
     def walk(
-        self,
-        root_pa: int,
-        va: int,
-        access: AccessType,
-        user: bool,
-        set_ad: bool = True,
-    ) -> WalkResult:
-        """Translate ``va``; raise :class:`PageFault` on failure.
-
-        ``root_pa`` is the physical address of the page directory.
-        ``user`` is the privilege of the access (True = user mode).
-        """
-        self.walks += 1
-        dir_idx, tbl_idx, offset = split_vaddr(va)
-
-        pde_pa = root_pa + dir_idx * 4
-        pde = self.physmem.read_u32(pde_pa)
-        if not pde & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        pte_pa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        pte = self.physmem.read_u32(pte_pa)
-        if not pte & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        combined = pde & pte
-        if user and not combined & PTE_USER:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.EXEC and pte & PTE_NOEXEC:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-
-        if set_ad:
-            new_pde = pde | PTE_ACCESSED
-            if new_pde != pde:
-                self.physmem.write_u32(pde_pa, new_pde)
-            new_pte = pte | PTE_ACCESSED
-            if access is AccessType.WRITE:
-                new_pte |= PTE_DIRTY
-            if new_pte != pte:
-                self.physmem.write_u32(pte_pa, new_pte)
-                pte = new_pte
-
-        return WalkResult(
-            paddr=(pte_frame(pte) << PAGE_SHIFT) | offset,
-            pte_paddr=pte_pa,
-            pte=pte,
-            mem_refs=2,
-        )
-
-    def walk_quick(
         self, root_pa: int, va: int, access: AccessType, user: bool
     ) -> int:
         """Translate ``va`` and return the post-A/D leaf PTE.
 
-        Semantically identical to :meth:`walk` with ``set_ad=True`` --
-        same walk/fault counting, same fault order, same A/D update
-        order -- but reads table entries straight from the backing
-        buffer and skips the :class:`WalkResult` allocation. A/D
-        updates still go through ``physmem.write_u32`` so write
-        watchers (SMC invalidation, dirty tracking) observe them. This
-        is the hot translate path of :class:`~repro.cpu.mmu.BareMMU`;
-        the virtualized MMUs keep the structured :meth:`walk`.
+        ``root_pa`` is the physical address of the page directory;
+        ``user`` is the privilege of the access (True = user mode).
+        Raises :class:`PageFault` on failure. Every walk makes two
+        memory references. The PTE's frame bits plus ``va``'s page
+        offset are the physical address (A/D updates never touch the
+        frame field).
+
+        Table entries are read straight from the backing buffer, with
+        no per-walk allocation: this is the miss path of every hardware
+        TLB (:class:`~repro.cpu.mmu.BareMMU` and the shadow MMU's). A/D
+        updates go through ``physmem.write_u32`` so write watchers (SMC
+        invalidation, dirty tracking) observe them.
         """
         self.walks += 1
         pm = self.physmem

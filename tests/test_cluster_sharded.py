@@ -3,6 +3,7 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.balancer import plan_rebalance
 from repro.cluster.coordinator import (
@@ -11,7 +12,7 @@ from repro.cluster.coordinator import (
     run_cluster_shard_epoch,
     run_sharded_cluster,
 )
-from repro.cluster.host import Host, HostSpec, VMSpec
+from repro.cluster.host import Host, HostSpec, HostSummary, VMSpec
 from repro.faults.injector import FaultInjector, FaultPlan, FaultSpec
 from repro.util.errors import ConfigError
 from repro.util.units import GIB
@@ -109,6 +110,83 @@ def test_cross_shard_evacuation_delivers_vms():
             == cfg.fleet_size + accepted)
 
 
+#: Merged-manifest sha256 of PINNED_CFG. The run re-places 80 evacuees,
+#: defers 7, refuses 13 arrivals on the N+R reserve and 5 on capacity,
+#: and makes 12 balancer moves, so every barrier decision is covered.
+PINNED_CFG = ClusterSimConfig(fleet_size=200, shards=4, epochs=6, seed=5,
+                              crash_rate=0.05, arrivals_per_epoch=8)
+PINNED_SHA = "64b06d77a135a4dabbb3e257cf02d0448a6f3371f3ed13a54f930f60c713530a"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_barrier_decisions_pinned(jobs):
+    report = run_sharded_cluster(PINNED_CFG, jobs=jobs)
+    metrics = report.manifest["metrics"]
+
+    def coord(name):
+        return metrics[f"cluster.coordinator.{name}"]["value"]
+
+    assert (coord("evac.replaced"), coord("evac.deferred"),
+            coord("admission.rejected.reserve"),
+            coord("admission.rejected.capacity"),
+            coord("balancer.moves")) == (80, 7, 13, 5, 12)
+    assert report.sha256 == PINNED_SHA
+
+
+_LEDGER_OPS = st.lists(st.one_of(
+    st.tuples(st.just("place"), st.integers(0, 7), st.integers(1, 12),
+              st.integers(0, 40)),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+    st.tuples(st.just("rerate"), st.integers(0, 7), st.integers(0, 40)),
+    st.tuples(st.just("fail"),),
+), max_size=40)
+
+
+def _ledger_state(host):
+    return dict(host.vms), host.memory_used
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_LEDGER_OPS, live=st.booleans())
+def test_ledger_running_total_matches_residents(ops, live):
+    spec = HostSpec(cores=4, cpu_capacity=4.0, memory_bytes=32 * GIB)
+    host = (Host(spec, 0) if live else
+            HostSummary(name="h", index=0, shard=0, domain="fd0",
+                        alive=True, cpu_capacity=4.0,
+                        memory_bytes=32 * GIB))
+    placed = 0
+    for op in ops:
+        before = _ledger_state(host)
+        name = f"v{op[1]}" if len(op) > 1 else None
+        if op[0] == "place":
+            vm = VMSpec(name, cpu_demand=op[3] / 10,
+                        memory_bytes=op[2] * GIB)
+            try:
+                host.place(vm)
+                placed += 1
+            except ConfigError:
+                assert _ledger_state(host) == before
+        elif op[0] == "remove":
+            try:
+                assert host.remove(name) == before[0][name]
+            except ConfigError:
+                assert _ledger_state(host) == before
+        elif op[0] == "rerate":
+            if name in host.vms:
+                host.set_cpu_demand(name, op[2] / 10)
+                assert host.vms[name].cpu_demand == op[2] / 10
+                assert host.memory_used == before[1]
+        elif live:
+            host.fail()
+        else:
+            host.alive = False
+        assert host.memory_used == sum(vm.memory_bytes
+                                       for vm in host.vms.values())
+        assert host.memory_free == host.memory_bytes - host.memory_used
+    if live:
+        assert host.placements == placed
+
+
 def test_host_summary_round_trip():
     spec = HostSpec(cores=8, cpu_capacity=8.0, memory_bytes=16 * GIB)
     host = Host(spec, 3)
@@ -116,7 +194,8 @@ def test_host_summary_round_trip():
     host.place(VMSpec("a", cpu_demand=2.0, memory_bytes=4 * GIB))
     summary = host.summary(shard=2)
     assert summary.shard == 2
-    assert [vm.name for vm in summary.vms] == ["a", "b"]  # sorted
+    assert list(summary.vms) == ["a", "b"]  # sorted
+    assert summary.vms["a"] is host.vms["a"]
     assert summary.cpu_demand == host.cpu_demand
     assert summary.memory_free == host.memory_free
     assert summary.fits(VMSpec("c", memory_bytes=8 * GIB))
